@@ -1,0 +1,10 @@
+"""Make the benchmark modules and the package under src/ importable when the
+benchmark's tests run: python -m pytest bench"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent
+for path in (BENCH, BENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
