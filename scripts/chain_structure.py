@@ -18,23 +18,14 @@ import sys
 import numpy as np
 
 from aladders.chains import (
-    chain_state_closed,
     gram_matrix,
     ladder_factor,
     lowering_decomposition,
+    lowering_residual,
     row_labels,
 )
 from aladders.errors import IllConditionedError
-from aladders.fock import FockVector
-from aladders.operators import ModeParams, apply_lowering
-
-
-def residual(label, p) -> float:
-    target = apply_lowering(p, chain_state_closed(label, p).vector)
-    recon = FockVector.zero()
-    for lab, coeff in lowering_decomposition(label, p):
-        recon = recon + coeff * chain_state_closed(lab, p).vector
-    return (recon - target).norm() / target.norm()
+from aladders.operators import ModeParams
 
 
 def main(argv=None) -> int:
@@ -58,7 +49,8 @@ def main(argv=None) -> int:
                     continue
                 factor = ladder_factor(label, p)
                 try:
-                    res = residual(label, p)
+                    terms = lowering_decomposition(label, p)
+                    res = lowering_residual(label, p, terms)
                     res_txt = f"{res:.3e}"
                 except IllConditionedError as exc:
                     res_txt = f"refused (condition {exc.condition:.2e})"

@@ -3,17 +3,16 @@
 from .errors import ConvergenceError, DomainError, IllConditionedError
 from .fock import (
     DEFAULT_DROP_TOL,
-    EnergyLevel,
     FockIndex,
     FockVector,
     a_minus,
     a_plus,
     apply_hamiltonian,
-    apply_ladder,
     apply_momentum,
     apply_position,
     b_minus,
     b_plus,
+    drop_tolerance,
     inner,
     level_basis,
 )
@@ -35,6 +34,7 @@ from .chains import (
     gram_matrix,
     ladder_factor,
     lowering_decomposition,
+    lowering_residual,
     row_labels,
     row_states,
 )

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DomainError, IllConditionedError
-from .fock import FockVector
+from .fock import FockVector, inner
 from .operators import ModeParams, apply_lowering, apply_raising
 from .zero_modes import _log_coeffs, _logsumexp, zero_mode_state
 
@@ -180,21 +180,22 @@ def row_states(row: int, p: ModeParams) -> list[ChainState]:
     return [chain_state_closed(label, p) for label in row_labels(row)]
 
 
-def gram_matrix(row: int, p: ModeParams) -> np.ndarray:
-    """Overlap matrix of the chain states meeting at one level.
-
-    Hermitian with unit diagonal; positive definite for generic parameters.
-    Entry (k, j) pairs chains 2k and 2j.
-    """
-    from .fock import inner
-
-    states = row_states(row, p)
+def _gram(states: list[ChainState]) -> np.ndarray:
     dim = len(states)
     mat = np.empty((dim, dim), dtype=complex)
     for i in range(dim):
         for j in range(dim):
             mat[i, j] = inner(states[i].vector, states[j].vector)
     return mat
+
+
+def gram_matrix(row: int, p: ModeParams) -> np.ndarray:
+    """Overlap matrix of the chain states meeting at one level.
+
+    Hermitian with unit diagonal; positive definite for generic parameters.
+    Entry (k, j) pairs chains 2k and 2j.
+    """
+    return _gram(row_states(row, p))
 
 
 def _solve_hermitian(mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -229,15 +230,23 @@ def lowering_decomposition(
     operator to the (chain, level) state equals the coefficient-weighted sum
     of the row's chain states.  Solved through the row's Gram matrix.
     """
-    from .fock import inner
-
     if label.level < 1:
         raise DomainError("lowering decomposition needs level >= 1")
     target = apply_lowering(p, chain_state_closed(label, p).vector)
-    row = label.chain + label.level - 1
-    states = row_states(row, p)
-    labels = [s.label for s in states]
-    gram = gram_matrix(row, p)
+    states = row_states(label.chain + label.level - 1, p)
     rhs = np.array([inner(s.vector, target) for s in states])
-    coeffs, _cond = _solve_hermitian(gram, rhs)
-    return list(zip(labels, (complex(c) for c in coeffs)))
+    coeffs, _cond = _solve_hermitian(_gram(states), rhs)
+    return [(s.label, complex(c)) for s, c in zip(states, coeffs)]
+
+
+def lowering_residual(
+    label: ChainLabel, p: ModeParams, terms: list[tuple[ChainLabel, complex]]
+) -> float:
+    """||A- |label> - sum_k c_k |label_k>|| / ||A- |label>|| for the terms
+    of lowering_decomposition; 0 when the lowered state vanishes."""
+    target = apply_lowering(p, chain_state_closed(label, p).vector)
+    recon = FockVector()
+    for lab, coeff in terms:
+        recon = recon + coeff * chain_state_closed(lab, p).vector
+    tnorm = target.norm()
+    return (target - recon).norm() / tnorm if tnorm > 0 else 0.0

@@ -14,15 +14,13 @@ import argparse
 import cmath
 import contextlib
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import chains, fock, position, principal, resolution, zero_modes
 from .errors import ConvergenceError, DomainError, IllConditionedError
-from .fock import FockVector
-from .operators import ModeParams, apply_commutator, apply_lowering, apply_raising
+from .operators import ModeParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,9 +39,6 @@ exit codes:
   3  convergence error (quadrature drifted on node doubling)
   4  ill-conditioned Gram system
   5  selftest failure
-
-environment:
-  ALADDERS_THREADS   worker cap for grid evaluation (default 1)
 
 a config file (--config PATH) holds 'key = value' lines mirroring the long
 flags of the chosen subcommand; explicit flags win over the file.
@@ -294,16 +289,10 @@ def _cmd_lower(args) -> int:
     label = chains.ChainLabel(args.chain, args.level)
     p = ModeParams(args.alpha, args.beta)
     terms = chains.lowering_decomposition(label, p)
-    target = apply_lowering(p, chains.chain_state_closed(label, p).vector)
-    recon = FockVector()
-    for lab, coeff in terms:
-        recon = recon + coeff * chains.chain_state_closed(lab, p).vector
-    tnorm = target.norm()
-    residual = (target - recon).norm() / tnorm if tnorm > 0 else 0.0
     payload = {
         "chain": label.chain,
         "level": label.level,
-        "residual": residual,
+        "residual": chains.lowering_residual(label, p, terms),
         "terms": [
             {"chain": lab.chain, "level": lab.level, "re": c.real, "im": c.imag}
             for lab, c in terms
@@ -342,6 +331,11 @@ def _cmd_resolution(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    if args.chain + args.level > position.RECURRENCE_MAX:
+        raise DomainError(
+            f"density needs --chain + --level <= {position.RECURRENCE_MAX}, "
+            f"got {args.chain + args.level}"
+        )
     p = ModeParams(args.alpha, args.beta)
     if args.chain == 0:
         vec = principal.principal_state(args.level, p).to_fock()
@@ -358,222 +352,11 @@ def _cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _random_state(rng, entries=5, n_max=10, m_max=10) -> FockVector:
-    amps = {}
-    for _ in range(entries):
-        key = (int(rng.integers(0, n_max + 1)), int(rng.integers(0, m_max + 1)))
-        amps[key] = complex(rng.standard_normal(), rng.standard_normal())
-    return FockVector(amps).normalized()
-
-
-def _random_params(rng) -> ModeParams:
-    def draw():
-        return cmath.rect(float(rng.uniform(0.4, 1.7)), float(rng.uniform(0, 2 * math.pi)))
-
-    return ModeParams(draw(), draw())
-
-
-def _selftest_checks():
-    from .fock import (
-        a_minus, a_plus, apply_hamiltonian, b_minus, b_plus, inner,
-    )
-
-    rng = np.random.default_rng(20240811)
-    params = [_random_params(rng) for _ in range(3)]
-
-    def check_ladder_commutators():
-        worst = 0.0
-        for _ in range(20):
-            v = _random_state(rng)
-            for minus, plus in ((a_minus, a_plus), (b_minus, b_plus)):
-                diff = minus(plus(v)) - plus(minus(v)) - v
-                worst = max(worst, diff.max_abs())
-            cross = a_minus(b_plus(v)) - b_plus(a_minus(v))
-            worst = max(worst, cross.max_abs())
-        return worst <= 1e-12, f"worst deviation {worst:.2e}"
-
-    def check_adjointness():
-        worst = 0.0
-        for p in params:
-            for _ in range(8):
-                u, v = _random_state(rng), _random_state(rng)
-                lhs = inner(apply_raising(p, u), v)
-                rhs = inner(u, apply_lowering(p, v))
-                worst = max(worst, abs(lhs - rhs))
-        return worst <= 1e-12, f"worst deviation {worst:.2e}"
-
-    def check_level_shift():
-        worst = 0.0
-        for p in params:
-            for _ in range(6):
-                v = _random_state(rng)
-                for op, sign in ((apply_raising, 1.0), (apply_lowering, -1.0)):
-                    ov = op(p, v)
-                    diff = apply_hamiltonian(ov) - op(p, apply_hamiltonian(v)) - sign * ov
-                    worst = max(worst, diff.max_abs())
-        return worst <= 1e-11, f"worst deviation {worst:.2e}"
-
-    def check_commutator_closed_form():
-        worst = 0.0
-        for p in params:
-            for _ in range(6):
-                v = _random_state(rng)
-                lit = apply_commutator(p, v)
-                wanted = FockVector(
-                    (
-                        (k, (abs(p.alpha) ** 2 + abs(p.beta) ** 2 * (k[1] - k[0])) * a)
-                        for k, a in v.items()
-                    )
-                )
-                worst = max(worst, (lit - wanted).max_abs())
-        return worst <= 1e-12, f"worst deviation {worst:.2e}"
-
-    def check_zero_mode_annihilation():
-        worst = 0.0
-        for p in params:
-            for n in range(13):
-                z = zero_modes.zero_mode_state(n, p)
-                worst = max(worst, apply_lowering(p, z).norm())
-        return worst <= 1e-10, f"worst residual {worst:.2e}"
-
-    def check_zero_mode_recursion():
-        worst = 0.0
-        for p in params:
-            for n in (3, 10, 25):
-                rec = zero_modes.zero_mode_coeffs_recursive(n, p)
-                for j, want in enumerate(rec):
-                    got = zero_modes.zero_mode_coeff(n, j, p)
-                    worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
-        return worst <= 1e-12, f"worst relative error {worst:.2e}"
-
-    def check_null_space():
-        for p in params[:2]:
-            for nu in range(1, 11):
-                want = 1 if nu % 2 == 0 else 0
-                got = zero_modes.level_null_space_dim(nu, p)
-                if got != want:
-                    return False, f"level {nu}: dim {got} != {want}"
-        return True, "levels 1..10"
-
-    def check_chain_closed_vs_bruteforce():
-        worst = 0.0
-        for p in params[:2]:
-            for two_n in (0, 2, 4, 6):
-                for nu in range(7):
-                    label = chains.ChainLabel(two_n, nu)
-                    closed = chains.chain_state_closed(label, p)
-                    brute = chains.chain_state_bruteforce(label, p)
-                    diff = (closed.vector - brute.vector).max_abs()
-                    worst = max(worst, diff / brute.vector.max_abs())
-                    rel = abs(closed.log_norm_sq - brute.log_norm_sq)
-                    worst = max(worst, rel)
-        return worst <= 1e-9, f"worst relative error {worst:.2e}"
-
-    def check_principal_norms():
-        worst = 0.0
-        for p in params:
-            for nu in range(21):
-                direct = sum(
-                    abs(p.alpha) ** (2 * (nu - k)) * abs(p.beta) ** (2 * k)
-                    * principal.modified_binomial(nu, k, 2)
-                    for k in range(nu // 2 + 1)
-                )
-                prod = principal.principal_norm_sq(nu, p)
-                worst = max(worst, abs(prod - direct) / direct)
-            vec = FockVector.basis(0, 0)
-            log_norm = 0.0
-            for nu in range(1, 16):
-                vec = apply_raising(p, vec)
-                step = vec.norm()
-                vec = (1.0 / step) * vec
-                log_norm += 2.0 * math.log(step)
-                want = math.lgamma(nu + 1) + principal.principal_log_norm_sq(nu, p)
-                worst = max(worst, abs(log_norm - want))
-        return worst <= 1e-10, f"worst relative error {worst:.2e}"
-
-    def check_slow_mode_lowering():
-        worst = 0.0
-        for p in params:
-            for nu in (1, 2, 7, 15):
-                worst = max(worst, principal.b_lowering_residual(nu, p))
-        return worst <= 1e-10, f"worst residual {worst:.2e}"
-
-    def check_uncertainties():
-        worst = 0.0
-        for p in params:
-            for nu in range(16):
-                rep = principal.uncertainty_products(nu, p)
-                da = principal.uncertainty_direct(nu, p, "a")
-                db = principal.uncertainty_direct(nu, p, "b")
-                worst = max(worst, abs(rep.product_a - da) / da)
-                worst = max(worst, abs(rep.product_b - db) / db)
-        return worst <= 1e-9, f"worst relative error {worst:.2e}"
-
-    def check_orthogonality():
-        from .fock import inner as _inner
-
-        worst = 0.0
-        for p in params:
-            for nu in range(1, 9):
-                z = zero_modes.zero_mode_state(nu, p)
-                ps = principal.principal_state(2 * nu, p).to_fock()
-                worst = max(worst, abs(_inner(z, ps)))
-        return worst <= 1e-10, f"worst overlap {worst:.2e}"
-
-    def check_lowering_decomposition():
-        worst = 0.0
-        for p in params[:2]:
-            for two_n in (0, 2, 4):
-                for nu in range(1, 9 - two_n):
-                    label = chains.ChainLabel(two_n, nu)
-                    terms = chains.lowering_decomposition(label, p)
-                    target = apply_lowering(
-                        p, chains.chain_state_closed(label, p).vector
-                    )
-                    recon = FockVector()
-                    for lab, c in terms:
-                        recon = recon + c * chains.chain_state_closed(lab, p).vector
-                    worst = max(worst, (target - recon).norm() / target.norm())
-        return worst <= 1e-8, f"worst relative residual {worst:.2e}"
-
-    def check_resolution():
-        worst = 0.0
-        for nu in range(5):
-            mat = resolution.subspace_identity_matrix(nu)
-            worst = max(
-                worst, float(np.max(np.abs(mat - np.eye(nu // 2 + 1, dtype=complex))))
-            )
-        worst = max(worst, resolution.fullspace_identity_check(4))
-        return worst <= 1e-8, f"worst deviation {worst:.2e}"
-
-    def check_density_mass():
-        geom = position.Grid2D(-6.0, 6.0, -6.0, 6.0, 201, 201)
-        grid = position.density_grid(FockVector.basis(0, 0), geom)
-        err = abs(grid.integral() - 1.0)
-        return err <= 1e-6, f"vacuum mass error {err:.2e}"
-
-    return [
-        ("ladder commutators", check_ladder_commutators),
-        ("raising/lowering adjointness", check_adjointness),
-        ("level shift by one", check_level_shift),
-        ("commutator closed form", check_commutator_closed_form),
-        ("zero-mode annihilation", check_zero_mode_annihilation),
-        ("zero-mode coefficients closed vs recursion", check_zero_mode_recursion),
-        ("kernel dimension per level", check_null_space),
-        ("chain closed form vs operator construction", check_chain_closed_vs_bruteforce),
-        ("principal norms product vs sum vs operator", check_principal_norms),
-        ("slow-mode lowering step", check_slow_mode_lowering),
-        ("uncertainty closed forms vs ladder algebra", check_uncertainties),
-        ("zero-mode/principal orthogonality", check_orthogonality),
-        ("lowering decomposition residual", check_lowering_decomposition),
-        ("level identity by quadrature", check_resolution),
-        ("vacuum density mass", check_density_mass),
-    ]
-
-
 def _cmd_selftest(args) -> int:
+    from . import criteria
+
     passed = failed = 0
-    for name, fn in _selftest_checks():
+    for name, fn in criteria.selftest_checks():
         try:
             ok, detail = fn()
         except Exception as exc:  # a crash is a failure, not an abort
@@ -610,9 +393,9 @@ def run(argv: list[str]) -> int:
             return EXIT_USAGE
         _apply_config(args, argv)
         _check_required(args)
-        if getattr(args, "drop_tol", None) is not None:
-            fock.set_drop_tol(args.drop_tol)
-        return _HANDLERS[args.command](args)
+        tol = getattr(args, "drop_tol", None)
+        with fock.drop_tolerance(tol) if tol is not None else contextlib.nullcontext():
+            return _HANDLERS[args.command](args)
     except _UsageError as exc:
         if not exc.reported:
             print(f"usage error: {exc}", file=sys.stderr)

@@ -13,9 +13,10 @@ serialized output stable.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-from dataclasses import dataclass, field
+from contextvars import ContextVar
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import DomainError
@@ -23,24 +24,26 @@ from .errors import DomainError
 FockIndex = tuple[int, int]
 
 # Amplitudes with |a| < drop tolerance are discarded.  Overridable per vector
-# or globally (the CLI exposes --drop-tol).
+# or for a block of code with drop_tolerance (the CLI exposes --drop-tol).
 DEFAULT_DROP_TOL = 1e-14
 
-_drop_tol = DEFAULT_DROP_TOL
-
-LADDER_NAMES = ("a_minus", "a_plus", "b_minus", "b_plus")
+_drop_tol: ContextVar[float] = ContextVar("drop_tol", default=DEFAULT_DROP_TOL)
 
 
-def set_drop_tol(tol: float) -> None:
-    """Set the global default drop tolerance (startup configuration)."""
-    global _drop_tol
+@contextlib.contextmanager
+def drop_tolerance(tol: float):
+    """Within the block, vectors built without an explicit ``tol`` prune
+    amplitudes below ``tol``; the previous tolerance returns on exit.
+
+    The setting is local to the current thread or asyncio task.
+    """
     if not tol >= 0.0:
         raise DomainError(f"drop tolerance must be >= 0, got {tol}")
-    _drop_tol = float(tol)
-
-
-def get_drop_tol() -> float:
-    return _drop_tol
+    token = _drop_tol.set(float(tol))
+    try:
+        yield
+    finally:
+        _drop_tol.reset(token)
 
 
 def _check_index(key) -> FockIndex:
@@ -53,19 +56,6 @@ def _check_index(key) -> FockIndex:
     if n < 0 or m < 0:
         raise DomainError(f"occupation numbers must be >= 0, got ({n}, {m})")
     return (n, m)
-
-
-@dataclass(frozen=True)
-class EnergyLevel:
-    """Level nu = 2n + m with energy nu + 3/2 (hbar = 1, unit mass)."""
-
-    nu: int
-    energy: float = field(init=False)
-
-    def __post_init__(self):
-        if self.nu < 0:
-            raise DomainError(f"level index must be >= 0, got {self.nu}")
-        object.__setattr__(self, "energy", self.nu + 1.5)
 
 
 def level_basis(nu: int) -> list[FockIndex]:
@@ -94,7 +84,7 @@ class FockVector:
         tol: float | None = None,
     ):
         if tol is None:
-            tol = _drop_tol
+            tol = _drop_tol.get()
         items = amplitudes.items() if hasattr(amplitudes, "items") else amplitudes
         merged: dict[FockIndex, complex] = {}
         for key, value in items:
@@ -239,23 +229,6 @@ def b_plus(v: FockVector) -> FockVector:
         (((n, m + 1), math.sqrt(m + 1) * a) for (n, m), a in v.items()),
         tol=v.tol,
     )
-
-
-_LADDERS = {
-    "a_minus": a_minus,
-    "a_plus": a_plus,
-    "b_minus": b_minus,
-    "b_plus": b_plus,
-}
-
-
-def apply_ladder(which: str, v: FockVector) -> FockVector:
-    """Apply one of the four elementary ladder operators by name."""
-    try:
-        fn = _LADDERS[which]
-    except KeyError:
-        raise DomainError(f"unknown ladder {which!r}; expected one of {LADDER_NAMES}")
-    return fn(v)
 
 
 def apply_hamiltonian(v: FockVector) -> FockVector:

@@ -20,9 +20,7 @@ distance of that curve.
 from __future__ import annotations
 
 import math
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import BinaryIO, TextIO
 
@@ -36,19 +34,6 @@ from .principal import mode_occupation
 RECURRENCE_MAX = 500
 
 GRID_MAGIC = b"ALGRID01"
-
-# Rows of the x table are processed in fixed-size blocks so the assembled
-# grid is bit-identical for any worker count.
-_CHUNK_ROWS = 64
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ALADDERS_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise DomainError(f"ALADDERS_THREADS must be an integer, got {raw!r}")
-    return max(1, count)
 
 
 @dataclass
@@ -130,18 +115,8 @@ def eigenfunction_table(n_max: int, omega: float, xs: np.ndarray) -> np.ndarray:
     return table
 
 
-def amplitude_grid(
-    v: FockVector, geom: Grid2D = DEFAULT_DENSITY_GEOMETRY, threads: int | None = None
-) -> Grid2D:
-    """<x, y | v> sampled on the grid (complex values).
-
-    Work is split over fixed x-row blocks; ALADDERS_THREADS (or the explicit
-    `threads` argument) sets how many blocks run concurrently.  Chunk
-    boundaries never depend on the worker count, so output is bit-identical
-    regardless of parallelism.
-    """
-    if threads is None:
-        threads = _worker_count()
+def amplitude_grid(v: FockVector, geom: Grid2D = DEFAULT_DENSITY_GEOMETRY) -> Grid2D:
+    """<x, y | v> sampled on the grid (complex values)."""
     if not v:
         raise DomainError("cannot sample the zero vector")
     n_max = max(n for n, _ in v)
@@ -158,31 +133,15 @@ def amplitude_grid(
     weights = np.zeros((n_max + 1, m_max + 1), dtype=complex)
     for (n, m), amp in v.items():
         weights[n, m] = amp
-    # right factor shared by every block; (m_max+1, ny) -> (n_max+1, ny)
+    # (m_max+1, ny) -> (n_max+1, ny)
     right = weights @ slow.astype(complex)
-    out = np.empty((geom.nx, geom.ny), dtype=complex)
-    blocks = [
-        (lo, min(lo + _CHUNK_ROWS, geom.nx)) for lo in range(0, geom.nx, _CHUNK_ROWS)
-    ]
-
-    def fill(block):
-        lo, hi = block
-        out[lo:hi] = fast[:, lo:hi].T @ right
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, blocks))
-    else:
-        for block in blocks:
-            fill(block)
+    out = fast.T @ right
     return Grid2D(geom.x_min, geom.x_max, geom.y_min, geom.y_max, geom.nx, geom.ny, out)
 
 
-def density_grid(
-    v: FockVector, geom: Grid2D = DEFAULT_DENSITY_GEOMETRY, threads: int | None = None
-) -> Grid2D:
+def density_grid(v: FockVector, geom: Grid2D = DEFAULT_DENSITY_GEOMETRY) -> Grid2D:
     """|<x, y | v>|^2 on the grid; grid.integral() gives the covered mass."""
-    amp = amplitude_grid(v, geom, threads)
+    amp = amplitude_grid(v, geom)
     dens = (amp.values.real**2 + amp.values.imag**2)
     return Grid2D(geom.x_min, geom.x_max, geom.y_min, geom.y_max, geom.nx, geom.ny, dens)
 

@@ -151,7 +151,7 @@ def subspace_identity_matrix(
     coarse = _identity_diag(nu, quad.radial_nodes_alpha, quad.radial_nodes_beta)
     fine = _identity_diag(nu, 2 * quad.radial_nodes_alpha, 2 * quad.radial_nodes_beta)
     drift = float(np.max(np.abs(fine - coarse)))
-    if drift > CONVERGENCE_TOL:
+    if not drift <= CONVERGENCE_TOL:  # a NaN drift (overflowed nodes) fails too
         raise ConvergenceError(
             f"level-{nu} identity drifted {drift:.3e} on node doubling"
         )

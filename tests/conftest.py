@@ -1,10 +1,12 @@
 """Shared helpers for the test suite.
 
 Random objects are drawn through numpy Generators seeded per test so
-failures reproduce.  Parameter draws avoid the near-degenerate regime
-|alpha|/|beta| << 1 unless a test asks for it explicitly: the Gram matrices
-of high rows become numerically singular there (that regime is exercised
-separately through the ill-conditioning error path).
+failures reproduce.  The draws themselves (random_params, random_state)
+live in aladders.criteria, which the selftest shares.  Parameter draws
+avoid the near-degenerate regime |alpha|/|beta| << 1 unless a test asks
+for it explicitly: the Gram matrices of high rows become numerically
+singular there (that regime is exercised separately through the
+ill-conditioning error path).
 """
 
 from __future__ import annotations
@@ -14,41 +16,8 @@ import zlib
 import numpy as np
 import pytest
 
+from aladders.criteria import random_params, random_state  # noqa: F401
 from aladders.fock import FockVector
-from aladders.operators import ModeParams
-
-
-def random_params(rng: np.random.Generator,
-                  ratio_range: tuple[float, float] = (0.5, 2.0),
-                  scale: float = 1.0) -> ModeParams:
-    """Random ModeParams with |alpha|/|beta| inside ratio_range.
-
-    Phases are uniform; |beta| is drawn near `scale` so the overall
-    magnitude stays O(1).
-    """
-    ratio = rng.uniform(*ratio_range)
-    beta_mag = scale * rng.uniform(0.6, 1.4)
-    alpha_mag = ratio * beta_mag
-    pa, pb = rng.uniform(0.0, 2.0 * np.pi, size=2)
-    return ModeParams(alpha=alpha_mag * np.exp(1j * pa),
-                      beta=beta_mag * np.exp(1j * pb))
-
-
-def random_state(rng: np.random.Generator,
-                 n_max: int = 12,
-                 m_max: int = 12,
-                 entries: int = 6) -> FockVector:
-    """Random normalized sparse vector supported on n ≤ n_max, m ≤ m_max."""
-    items = {}
-    for _ in range(entries):
-        n = int(rng.integers(0, n_max + 1))
-        m = int(rng.integers(0, m_max + 1))
-        re, im = rng.standard_normal(2)
-        items[(n, m)] = items.get((n, m), 0.0) + complex(re, im)
-    v = FockVector(items)
-    if not v:  # absurdly unlikely, but keep the helper total
-        v = FockVector.basis(0, 0)
-    return v.normalized()
 
 
 def max_amp_diff(u: FockVector, v: FockVector) -> float:

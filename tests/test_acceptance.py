@@ -1,8 +1,8 @@
 """Acceptance gate: every advertised numerical guarantee, end to end.
 
-Each test exercises one criterion at its stated tolerance and prints a
-single PASS/FAIL line (visible under ``pytest -s``).  Seeds are fixed so
-reruns are bit-reproducible.
+Each test runs one criterion of aladders.criteria at the gate's seeds,
+sizes and parameter bands, and prints a single PASS/FAIL line (visible
+under ``pytest -s``).  Seeds are fixed so reruns are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -12,20 +12,9 @@ import math
 
 import numpy as np
 
-from aladders.chains import ChainLabel, chain_state_bruteforce, chain_state_closed, \
-    lowering_decomposition, row_labels
-from aladders.fock import FockVector, apply_hamiltonian, apply_momentum, \
-    apply_position, inner
-from aladders.operators import ModeParams, apply_commutator, apply_lowering, \
-    apply_raising
-from aladders.position import DEFAULT_DENSITY_GEOMETRY, best_tube_phase, \
-    density_grid, l1_distance, lissajous_amplitudes
-from aladders.principal import modified_binomial, principal_log_norm_sq, \
-    principal_norm_sq, principal_state, uncertainty_direct, uncertainty_products
-from aladders.resolution import fullspace_identity_check, subspace_identity_matrix
-from aladders.zero_modes import level_null_space_dim, zero_mode_state
-
-from conftest import random_params, random_state
+from aladders import criteria as C
+from aladders.criteria import random_params, random_state
+from aladders.operators import ModeParams
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -35,73 +24,31 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_zero_mode_annihilation():
     rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(5):
-        p = random_params(rng)
-        scale = max(abs(p.alpha), abs(p.beta))
-        for n in range(21):
-            res = apply_lowering(p, zero_mode_state(n, p)).norm() / scale
-            worst = max(worst, res)
-    report(1, "zero-mode annihilation", worst <= 1e-10,
+    worst = C.zero_mode_residual([random_params(rng) for _ in range(5)], 20)
+    report(1, "zero-mode annihilation", worst <= C.ANNIHILATION_TOL,
            f"worst scaled residual {worst:.3e} (n <= 20, 5 parameter draws)")
 
 
 def test_criterion_02_odd_level_nonexistence():
     rng = np.random.default_rng(102)
-    ok = True
-    bad = ""
-    for p in (random_params(rng), random_params(rng)):
-        for nu in range(1, 16, 2):
-            if level_null_space_dim(nu, p) != 0:
-                ok, bad = False, f"odd level {nu} has a kernel"
-        for nu in range(0, 15, 2):
-            if level_null_space_dim(nu, p) != 1:
-                ok, bad = False, f"even level {nu} kernel dim != 1"
-    report(2, "kernel dimension by level parity", ok,
+    bad = C.kernel_dimension_mismatch((random_params(rng), random_params(rng)),
+                                      range(16))
+    report(2, "kernel dimension by level parity", not bad,
            bad or "dim 0 at odd nu <= 15, dim 1 at even nu <= 14")
 
 
 def test_criterion_03_closed_vs_bruteforce_chains():
     rng = np.random.default_rng(103)
-    worst = 0.0
-    for _ in range(2):
-        p = random_params(rng, ratio_range=(0.6, 1.8))
-        for chain in range(0, 11, 2):
-            for level in range(11):
-                label = ChainLabel(chain, level)
-                brute = chain_state_bruteforce(label, p)
-                closed = chain_state_closed(label, p)
-                amp = (closed.vector - brute.vector).max_abs()
-                worst = max(worst, amp / brute.vector.max_abs())
-                worst = max(worst, abs(closed.log_norm_sq - brute.log_norm_sq))
-    report(3, "closed-form chains vs operator construction", worst <= 1e-9,
+    params = [random_params(rng, ratio_range=(0.6, 1.8)) for _ in range(2)]
+    worst = C.chain_oracle_error(params, 10, 10)
+    report(3, "closed-form chains vs operator construction", worst <= C.CHAIN_TOL,
            f"worst relative error {worst:.3e} (2n <= 10, nu <= 10)")
 
 
 def test_criterion_04_normalization_closed_forms():
     rng = np.random.default_rng(104)
-    worst_sum = 0.0
-    worst_op = 0.0
-    for _ in range(3):
-        p = random_params(rng)
-        for nu in range(31):
-            direct = sum(
-                modified_binomial(nu, k, 2)
-                * abs(p.alpha) ** (2 * (nu - k)) * abs(p.beta) ** (2 * k)
-                for k in range(nu // 2 + 1)
-            )
-            prod = principal_norm_sq(nu, p)
-            worst_sum = max(worst_sum, abs(prod - direct) / direct)
-        vec = FockVector.basis(0, 0)
-        log_norm = 0.0
-        for nu in range(1, 26):
-            vec = apply_raising(p, vec)
-            step = vec.norm()
-            vec = (1.0 / step) * vec
-            log_norm += 2.0 * math.log(step)
-            want = math.lgamma(nu + 1) + principal_log_norm_sq(nu, p)
-            worst_op = max(worst_op, abs(math.expm1(log_norm - want)))
-    ok = worst_sum <= 1e-10 and worst_op <= 1e-10
+    worst_sum, worst_op = C.norm_errors([random_params(rng) for _ in range(3)], 30, 25)
+    ok = worst_sum <= C.NORM_TOL and worst_op <= C.NORM_TOL
     report(4, "product-form normalization", ok,
            f"sum form {worst_sum:.3e} (nu <= 30), "
            f"operator norm {worst_op:.3e} (nu <= 25)")
@@ -109,15 +56,9 @@ def test_criterion_04_normalization_closed_forms():
 
 def test_criterion_05_zero_mode_principal_orthogonality():
     rng = np.random.default_rng(105)
-    worst = 0.0
-    for _ in range(3):
-        p = random_params(rng)
-        for nu in range(1, 11):
-            z = zero_mode_state(nu, p)
-            ps = principal_state(2 * nu, p).to_fock()
-            worst = max(worst, abs(inner(z, ps)))
+    worst = C.principal_overlap([random_params(rng) for _ in range(3)], 10)
     report(5, "zero mode orthogonal to same-level principal state",
-           worst <= 1e-10, f"worst overlap {worst:.3e} (nu <= 10)")
+           worst <= C.ORTHOGONALITY_TOL, f"worst overlap {worst:.3e} (nu <= 10)")
 
 
 def test_criterion_06_lowering_decomposition():
@@ -125,30 +66,15 @@ def test_criterion_06_lowering_decomposition():
     # invertible (|alpha|/|beta| >= 2.2); nearly parallel chains below that
     # ratio are refused by the solver and covered by the error-path tests
     rng = np.random.default_rng(106)
-    worst = 0.0
-    for _ in range(3):
-        p = random_params(rng, ratio_range=(2.2, 3.5))
-        for row_sum in range(1, 15):
-            for label in row_labels(row_sum):
-                if label.level < 1:
-                    continue
-                target = apply_lowering(p, chain_state_closed(label, p).vector)
-                recon = FockVector.zero()
-                for lab, coeff in lowering_decomposition(label, p):
-                    recon = recon + coeff * chain_state_closed(lab, p).vector
-                worst = max(worst, (recon - target).norm() / target.norm())
-    report(6, "lowering decomposition over the row below", worst <= 1e-8,
+    params = [random_params(rng, ratio_range=(2.2, 3.5)) for _ in range(3)]
+    worst = C.lowering_error(params, 14)
+    report(6, "lowering decomposition over the row below", worst <= C.LOWERING_TOL,
            f"worst relative residual {worst:.3e} (chain+level <= 14)")
 
 
 def test_criterion_07_resolution_of_identity():
-    worst_sub = 0.0
-    for nu in range(9):
-        mat = subspace_identity_matrix(nu)
-        dim = nu // 2 + 1
-        worst_sub = max(worst_sub, float(np.max(np.abs(mat - np.eye(dim)))))
-    full = fullspace_identity_check(6)
-    ok = worst_sub <= 1e-8 and full <= 1e-8
+    worst_sub, full = C.identity_deviations(8, 6)
+    ok = worst_sub <= C.IDENTITY_TOL and full <= C.IDENTITY_TOL
     report(7, "resolution of the identity", ok,
            f"subspace max deviation {worst_sub:.3e} (nu <= 8), "
            f"truncated full-space {full:.3e} (2n+m <= 6)")
@@ -156,26 +82,10 @@ def test_criterion_07_resolution_of_identity():
 
 def test_criterion_08_uncertainty_products():
     rng = np.random.default_rng(108)
-    worst = 0.0
-    for _ in range(2):
-        p = random_params(rng)
-        for nu in range(31):
-            rep = uncertainty_products(nu, p)
-            da = uncertainty_direct(nu, p, "a")
-            db = uncertainty_direct(nu, p, "b")
-            worst = max(worst, abs(rep.product_a - da) / da,
-                        abs(rep.product_b - db) / db)
-    base = uncertainty_products(0, ModeParams(1.0, 1.0))
-    exact0 = base.product_a == 0.25 and base.product_b == 0.25
-    stag = ModeParams(1.0, 100.0)
-    stag_ok = True
-    for nu in range(3, 16, 2):
-        pb = uncertainty_products(nu, stag).product_b
-        stag_ok = stag_ok and abs(pb - 2.25) <= 0.15 * 2.25
-    for nu in range(2, 15, 2):
-        pb = uncertainty_products(nu, stag).product_b
-        stag_ok = stag_ok and abs(pb - 0.25) <= 0.15 * 0.25
-    ok = worst <= 1e-9 and exact0 and stag_ok
+    worst = C.uncertainty_error([random_params(rng) for _ in range(2)], 30)
+    exact0 = C.vacuum_products_exact()
+    stag_ok = C.slow_mode_staggering()
+    ok = worst <= C.UNCERTAINTY_TOL and exact0 and stag_ok
     report(8, "uncertainty closed forms", ok,
            f"worst relative error {worst:.3e} (nu <= 30), vacuum exact "
            f"{exact0}, slow-mode staggering at (1, 100) {stag_ok}")
@@ -184,20 +94,9 @@ def test_criterion_08_uncertainty_products():
 def test_criterion_09_lissajous_densities():
     p1 = ModeParams(alpha=3.0, beta=cmath.exp(1j * math.pi / 2) / math.sqrt(2))
     p2 = ModeParams(alpha=3.0, beta=1.0 / math.sqrt(2))
-    grids = []
-    masses = []
-    fracs = []
-    for p in (p1, p2):
-        v = principal_state(100, p).to_fock()
-        grid = density_grid(v, DEFAULT_DENSITY_GEOMETRY)
-        amp_x, amp_y = lissajous_amplitudes(v)
-        frac, _phase = best_tube_phase(grid, amp_x, amp_y, radius=1.0)
-        grids.append(grid)
-        masses.append(grid.integral())
-        fracs.append(frac)
-    dist = l1_distance(grids[0], grids[1])
-    ok = (all(abs(m - 1.0) <= 1e-3 for m in masses)
-          and fracs[0] >= 0.90 and dist >= 0.2)
+    masses, fracs, dist = C.lissajous_figures((p1, p2), 100)
+    ok = (all(abs(m - 1.0) <= C.LISSAJOUS_MASS_TOL for m in masses)
+          and fracs[0] >= C.TUBE_FRACTION_MIN and dist >= C.L1_DISTANCE_MIN)
     report(9, "high-level density hugs the classical curve", ok,
            f"masses {masses[0]:.6f}/{masses[1]:.6f}, tube fraction "
            f"{fracs[0]:.3f} (second grid {fracs[1]:.3f}), L1 distance {dist:.3f}")
@@ -205,34 +104,8 @@ def test_criterion_09_lissajous_densities():
 
 def test_criterion_10_algebraic_identities():
     rng = np.random.default_rng(110)
-    worst = 0.0
-    for _ in range(100):
-        p = random_params(rng)
-        v = random_state(rng)
-        # commutator closed form
-        lit = apply_commutator(p, v)
-        want = FockVector(
-            ((k, (abs(p.alpha) ** 2 + abs(p.beta) ** 2 * (k[1] - k[0])) * a)
-             for k, a in v.items())
-        )
-        worst = max(worst, (lit - want).max_abs())
-        # ladder property of A+/A-
-        up = apply_raising(p, v)
-        worst = max(worst, (apply_hamiltonian(up)
-                            - apply_raising(p, apply_hamiltonian(v))
-                            - up).max_abs())
-        dn = apply_lowering(p, v)
-        worst = max(worst, (apply_hamiltonian(dn)
-                            - apply_lowering(p, apply_hamiltonian(v))
-                            + dn).max_abs())
-        # adjointness
-        u = random_state(rng)
-        worst = max(worst, abs(inner(apply_raising(p, u), v)
-                               - inner(u, apply_lowering(p, v))))
-        # canonical [Q, P] = i per mode
-        for mode in ("a", "b"):
-            comm = (apply_position(mode, apply_momentum(mode, v))
-                    - apply_momentum(mode, apply_position(mode, v)))
-            worst = max(worst, (comm - 1j * v).max_abs())
-    report(10, "operator algebra on random sparse states", worst <= 1e-12,
+    draws = [(random_params(rng), random_state(rng), random_state(rng))
+             for _ in range(100)]
+    worst = C.algebra_deviation(draws)
+    report(10, "operator algebra on random sparse states", worst <= C.ALGEBRA_TOL,
            f"worst deviation {worst:.3e} over 100 draws")

@@ -8,7 +8,6 @@ import math
 import numpy as np
 import pytest
 
-from aladders import fock
 from aladders.cli import (
     EXIT_CONVERGENCE,
     EXIT_DOMAIN,
@@ -19,14 +18,6 @@ from aladders.cli import (
     run,
 )
 from aladders.position import read_grid_binary
-
-
-@pytest.fixture(autouse=True)
-def _stable_drop_tol():
-    # --drop-tol mutates module state; keep tests independent
-    old = fock.get_drop_tol()
-    yield
-    fock.set_drop_tol(old)
 
 
 def run_json(capsys, argv):
@@ -177,11 +168,19 @@ def test_domain_error_exit(capsys):
     code = run(["zero-modes", "--n", "1", "--alpha", "1,0", "--beta", "0,0"])
     assert code == EXIT_DOMAIN
     assert "domain error" in capsys.readouterr().err
+    # a level past the eigenfunction recurrence cap is refused before any
+    # state is built (building it would overflow first)
+    code = run(["density", "--level", "600", "--alpha", "1", "--beta", "1"])
+    assert code == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("domain error:")
 
 
 def test_convergence_error_exit(capsys):
     code = run(["resolution", "--nu", "40", "--nodes", "8"])
     assert code == EXIT_CONVERGENCE
+    assert "convergence" in capsys.readouterr().err
+    # overflowed quadrature nodes give a NaN drift, which must fail as well
+    assert run(["resolution", "--nu", "150", "--nodes", "128"]) == EXIT_CONVERGENCE
     assert "convergence" in capsys.readouterr().err
 
 
@@ -227,7 +226,8 @@ def test_selftest_passes(capsys):
 
 
 def test_drop_tol_flag(capsys):
-    # a huge drop tolerance erases the second zero-mode coefficient
-    data = run_json(capsys, ["zero-modes", "--n", "1", "--alpha", "0.001,0",
-                             "--beta", "1,0", "--drop-tol", "0.01"])
-    assert fock.get_drop_tol() == pytest.approx(0.01)
+    chain = ["chain", "--chain", "4", "--level", "6", "--alpha", "2.5", "--beta", "1"]
+    coarse = run_json(capsys, [*chain, "--drop-tol", "1e-3"])
+    assert len(coarse["vector"]) == 5
+    # the flag holds for its own invocation only
+    assert len(run_json(capsys, chain)["vector"]) == 6

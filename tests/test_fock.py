@@ -10,19 +10,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aladders import fock
 from aladders.errors import DomainError
 from aladders.fock import (
-    EnergyLevel,
     FockVector,
     a_minus,
     a_plus,
     apply_hamiltonian,
-    apply_ladder,
     apply_momentum,
     apply_position,
     b_minus,
     b_plus,
+    drop_tolerance,
     inner,
     level_basis,
 )
@@ -60,15 +58,10 @@ def test_b_ladders_examples():
 def test_ladders_are_linear(rng):
     v = random_state(rng)
     w = random_state(rng)
-    for name in fock.LADDER_NAMES:
-        lhs = apply_ladder(name, 2.0 * v + (1 - 1j) * w)
-        rhs = 2.0 * apply_ladder(name, v) + (1 - 1j) * apply_ladder(name, w)
+    for lad in (a_minus, a_plus, b_minus, b_plus):
+        lhs = lad(2.0 * v + (1 - 1j) * w)
+        rhs = 2.0 * lad(v) + (1 - 1j) * lad(w)
         assert max_amp_diff(lhs, rhs) < 1e-14
-
-
-def test_apply_ladder_rejects_unknown_name():
-    with pytest.raises(DomainError):
-        apply_ladder("c_plus", ket(0, 0))
 
 
 def test_same_mode_commutators_identity(rng):
@@ -102,20 +95,12 @@ def test_hamiltonian_eigenvalues():
 
 def test_hamiltonian_ladder_commutators(rng):
     # [H, a±] = ±2 a±, [H, b±] = ±b±
-    shifts = {"a_plus": 2.0, "a_minus": -2.0, "b_plus": 1.0, "b_minus": -1.0}
+    shifts = {a_plus: 2.0, a_minus: -2.0, b_plus: 1.0, b_minus: -1.0}
     for _ in range(10):
         v = random_state(rng)
-        for name, shift in shifts.items():
-            lad = lambda u: apply_ladder(name, u)
+        for lad, shift in shifts.items():
             comm = apply_hamiltonian(lad(v)) - lad(apply_hamiltonian(v))
             assert max_amp_diff(comm, shift * lad(v)) < 1e-12
-
-
-def test_energy_level():
-    lvl = EnergyLevel(nu=4)
-    assert lvl.energy == pytest.approx(5.5)
-    with pytest.raises(Exception):
-        EnergyLevel(nu=-1)
 
 
 def test_level_basis_examples():
@@ -177,14 +162,14 @@ def test_constructor_merges_and_prunes():
 
 
 def test_drop_tolerance_is_configurable():
-    old = fock.get_drop_tol()
-    try:
-        fock.set_drop_tol(1e-3)
+    with drop_tolerance(1e-3):
         assert len(FockVector({(0, 0): 1e-4})) == 0
         assert len(FockVector({(0, 0): 1e-2})) == 1
-    finally:
-        fock.set_drop_tol(old)
-    assert len(FockVector({(0, 0): 1e-4})) == 1
+        assert len(FockVector({(0, 0): 1e-4}, tol=0.0)) == 1
+    assert len(FockVector({(0, 0): 1e-4})) == 1  # reverted on exit
+    with pytest.raises(DomainError):
+        with drop_tolerance(-1.0):
+            pass
 
 
 def test_vector_is_immutable():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
 
 import numpy as np
 import pytest
@@ -125,27 +124,6 @@ def test_amplitude_grid_matches_direct_evaluation():
                     + 0.8j * ho_eigenfunction(1, 2.0, xs[ix])
                     * ho_eigenfunction(2, 1.0, ys[iy]))
             assert grid.values[ix, iy] == pytest.approx(want, abs=1e-12)
-
-
-def test_threaded_grid_is_bit_identical():
-    v = principal_state(6, ModeParams(1.0, 1.0)).to_fock()
-    geom = Grid2D(-6, 6, -8, 8, 150, 130)
-    one = amplitude_grid(v, geom, threads=1)
-    four = amplitude_grid(v, geom, threads=4)
-    assert np.array_equal(one.values, four.values)
-
-
-def test_thread_count_from_environment(monkeypatch):
-    v = FockVector.basis(0, 0)
-    geom = Grid2D(-2, 2, -2, 2, 16, 16)
-    monkeypatch.setenv("ALADDERS_THREADS", "3")
-    grid_env = amplitude_grid(v, geom)
-    monkeypatch.setenv("ALADDERS_THREADS", "1")
-    grid_one = amplitude_grid(v, geom)
-    assert np.array_equal(grid_env.values, grid_one.values)
-    monkeypatch.setenv("ALADDERS_THREADS", "lots")
-    with pytest.raises(DomainError):
-        amplitude_grid(v, geom)
 
 
 # ---------------------------------------------------------- serialization

@@ -137,6 +137,9 @@ def test_subspace_identity_node_starvation_detected():
     # flag non-convergence instead of returning a wrong matrix
     with pytest.raises(ConvergenceError):
         subspace_identity_matrix(40, QuadratureSpec(8, 8))
+    # nodes so large that x**nu overflows: the NaN drift must not pass
+    with pytest.raises(ConvergenceError):
+        subspace_identity_matrix(150, QuadratureSpec(128, 128))
 
 
 def test_quadrature_spec_validation():
