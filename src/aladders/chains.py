@@ -12,11 +12,15 @@ the level-2n zero mode nu times.  Two independent constructions are kept:
               nu! / ((nu-2k-j)! k! j! 2^k) (b+)^j (a+)^{nu-k-j} (b-)^{nu-2k-j},
 
   evaluated on each zero-mode ket, with ladder square roots collected into
-  rising factorials.
+  rising factorials.  All (m, k, j) terms of one chain are evaluated at once
+  as log magnitudes and phases, scaled by their largest magnitude, and summed
+  into the dense array of the chain's level.
 
-Within a level the chain states are linearly independent but not orthogonal;
-gram_matrix and lowering_decomposition expose that structure, which is what
-lets the lowered state be re-expanded over the row below.
+Within a level the chain states are linearly independent but not orthogonal.
+The row of chains meeting at level R is the square matrix C whose column k is
+chain (2k, R - 2k) over level_basis(R); gram_matrix is C^H C, and
+lowering_decomposition solves on C, which is what lets the lowered state be
+re-expanded over the row below.
 """
 
 from __future__ import annotations
@@ -26,15 +30,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.special import gammaln
 
 from .errors import DomainError, IllConditionedError
-from .fock import FockVector, inner
-from .operators import ModeParams, apply_lowering, apply_raising
+from .fock import FockVector, level_basis
+from .operators import ModeParams, apply_raising
 from .zero_modes import _log_coeffs, _logsumexp, zero_mode_state
 
-# Gram systems with estimated condition number beyond this are refused.
+# Lowering solves whose Gram condition, cond(C)^2, exceeds this are refused.
 COND_LIMIT = 1e12
+
+# Expansion terms evaluated together in one slice of a level block.  The
+# temporaries take about 150 bytes per term, so a block never holds more
+# than about 40 MB of them, however long its chains are.
+_SLICE_TERMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -55,12 +64,21 @@ class ChainLabel:
 @dataclass(frozen=True)
 class ChainState:
     """A normalized chain state plus the squared norm of its unnormalized
-    construction (log copy kept for ratio arithmetic at large level)."""
+    construction.  log_norm_sq is always finite; norm_sq is inf where the
+    norm is beyond a double."""
 
     label: ChainLabel
     vector: FockVector
     norm_sq: float
     log_norm_sq: float
+
+
+def _exp_norm_sq(log_norm_sq: float) -> float:
+    """exp(log_norm_sq), or inf where that is beyond a double."""
+    try:
+        return math.exp(log_norm_sq)
+    except OverflowError:
+        return math.inf
 
 
 def chain_state_bruteforce(label: ChainLabel, p: ModeParams) -> ChainState:
@@ -78,36 +96,38 @@ def chain_state_bruteforce(label: ChainLabel, p: ModeParams) -> ChainState:
             raise DomainError(f"chain {label} terminates (zero raised state)")
         vec = (1.0 / step) * vec
         log_norm_sq += 2.0 * math.log(step)
-    return ChainState(label, vec, math.exp(log_norm_sq), log_norm_sq)
+    return ChainState(label, vec, _exp_norm_sq(log_norm_sq), log_norm_sq)
 
 
-def _coeff_log(
-    n: int, nu: int, m: int, k: int, j: int, p: ModeParams,
-    gamma_log: float, gamma_phase: float,
-) -> complex:
-    """One expansion coefficient, from log magnitudes and a tracked phase."""
-    apow = j + k
-    bpow = nu - k - j
-    if p.alpha == 0 and apow > 0:
-        return 0j
-    if gamma_log == -math.inf:
-        return 0j
-    lg = math.lgamma
-    q = nu - 2 * k - j  # number of b- factors acting on |m, 2(n-m)>
-    x = 2 * (n - m) - nu + 2 * k + j + 1
+def _term_logs(
+    n: np.ndarray, nu: np.ndarray, m: np.ndarray, k: np.ndarray, j: np.ndarray,
+    p: ModeParams, glog: np.ndarray, gphase: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log magnitudes and phases of expansion terms, one per array entry.
+
+    Entry i is the (m, k, j) term of chain (2n, nu), with glog and gphase
+    the log magnitude and phase of that chain's zero-mode coefficient
+    gamma_m.  The term acts on ket |m, s> with s = 2(n - m): q = nu - 2k - j
+    factors b- leave r = s - q slow quanta, then nu - k - j factors a+ and
+    j factors b+ raise it to |m + nu - k - j, r + j>.
+    """
+    lf = gammaln(np.arange(1.0, (2 * n + nu).max() + 2))  # lf[i] = log(i!)
+    up = nu - k - j
+    q = nu - 2 * k - j
+    s = 2 * (n - m)
+    r = s - q
     log_mag = (
-        gamma_log
-        + bpow * math.log(abs(p.beta))
-        + lg(nu + 1) - lg(q + 1) - lg(k + 1) - lg(j + 1) - k * math.log(2.0)
-        + 0.5 * (lg(m + 1 + bpow) - lg(m + 1))
-        + 0.5 * (lg(x + j) - lg(x))
-        + 0.5 * (lg(x + q) - lg(x))
+        glog + up * math.log(abs(p.beta))
+        + lf[nu] - lf[q] - lf[k] - lf[j] - k * math.log(2.0)
+        + 0.5 * (lf[m + up] - lf[m] + lf[s] - 2.0 * lf[r] + lf[r + j])
     )
-    phase = gamma_phase + bpow * cmath.phase(p.beta)
-    if apow > 0:
-        log_mag += apow * math.log(abs(p.alpha))
-        phase += apow * cmath.phase(p.alpha)
-    return cmath.rect(math.exp(log_mag), phase)
+    phase = gphase + up * cmath.phase(p.beta)
+    if p.alpha == 0:
+        log_mag = np.where(j + k > 0, -np.inf, log_mag)
+    else:
+        log_mag = log_mag + (j + k) * math.log(abs(p.alpha))
+        phase = phase + (j + k) * cmath.phase(p.alpha)
+    return log_mag, phase
 
 
 def expansion_coeff(n: int, nu: int, m: int, k: int, j: int, p: ModeParams) -> complex:
@@ -128,35 +148,89 @@ def expansion_coeff(n: int, nu: int, m: int, k: int, j: int, p: ModeParams) -> c
     if not j_lo <= j <= j_hi:
         raise DomainError(f"j must be in {j_lo}..{j_hi}, got {j}")
     glog, gphase = _log_coeffs(n, p)
-    return _coeff_log(n, nu, m, k, j, p, float(glog[m]), float(np.asarray(gphase)[m]))
+    log_mag, phase = _term_logs(*(np.array([i]) for i in (n, nu, m, k, j)), p,
+                                glog[m:m + 1], gphase[m:m + 1])
+    return cmath.rect(math.exp(log_mag[0]), phase[0])
+
+
+def _ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """arange(counts[0]), arange(counts[1]), ... concatenated."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1]) - (ends - counts).repeat(counts)
+
+
+def _level_block(
+    labels: list[ChainLabel], p: ModeParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chains meeting on one level, as unit columns over level_basis(level)
+    before any pruning, and the log squared norms of their unnormalized
+    constructions.
+
+    Only the valid terms are enumerated: k <= nu/2 and
+    max(0, nu - 2k - 2(n - m)) <= j <= nu - 2k on every zero-mode ket m
+    with gamma_m != 0.  The kets are taken in slices of about _SLICE_TERMS
+    terms.  Each column is kept scaled by its largest term so far, and
+    rescaled when a later slice brings a larger one, so no exp overflows.
+    """
+    level = labels[0].chain + labels[0].level
+    ncols = len(labels)
+    dim = level // 2 + 1
+    gammas = [_log_coeffs(label.chain // 2, p) for label in labels]
+    log_norm0 = np.array([_logsumexp(2.0 * g) for g, _ in gammas])
+    glog = np.concatenate([g for g, _ in gammas])
+    gphase = np.concatenate([ph for _, ph in gammas])
+    # zero-mode kets (column, m) with gamma_m != 0
+    kets = np.array([g.size for g, _ in gammas])
+    col = np.repeat(np.arange(ncols), kets)
+    m = _ragged_arange(kets)
+    keep = np.isfinite(glog)
+    col, m, glog, gphase = col[keep], m[keep], glog[keep], gphase[keep]
+    n = (kets - 1)[col]
+    nu = level - 2 * n
+
+    # a ket has at most (nu/2 + 1)(min(nu, 2(n - m)) + 1) terms; a slice
+    # ends where the running count passes a multiple of _SLICE_TERMS
+    bound = (nu // 2 + 1) * (np.minimum(nu, 2 * (n - m)) + 1)
+    first = (bound.cumsum() - bound) // _SLICE_TERMS
+    top = np.full(ncols, -np.inf)
+    amps = np.zeros((ncols, dim), dtype=complex)
+    for ket in np.split(np.arange(col.size), np.flatnonzero(np.diff(first)) + 1):
+        # terms (k, j) on each ket of the slice
+        kcount = nu[ket] // 2 + 1
+        ket = np.repeat(ket, kcount)
+        k = _ragged_arange(kcount)
+        j_lo = np.maximum(0, (nu - 2 * (n - m))[ket] - 2 * k)
+        jcount = nu[ket] - 2 * k - j_lo + 1
+        j = np.repeat(j_lo, jcount) + _ragged_arange(jcount)
+        k = np.repeat(k, jcount)
+        ket = np.repeat(ket, jcount)
+        log_mag, phase = _term_logs(n[ket], nu[ket], m[ket], k, j, p, glog[ket], gphase[ket])
+
+        c = col[ket]
+        new_top = top.copy()
+        np.maximum.at(new_top, c, log_mag)
+        amps *= np.exp(np.subtract(top, new_top, out=np.zeros(ncols),
+                                   where=new_top > top))[:, None]
+        top = new_top
+        weight = np.exp(log_mag - np.where(top > -np.inf, top, 0.0)[c])
+        slot = c * dim + (m + nu)[ket] - k - j
+        amps += (np.bincount(slot, weight * np.cos(phase), ncols * dim)
+                 + 1j * np.bincount(slot, weight * np.sin(phase), ncols * dim)
+                 ).reshape(ncols, dim)
+    amps = amps.T
+    nrm = np.linalg.norm(amps, axis=0)
+    dead = np.flatnonzero(nrm == 0.0)
+    if dead.size:
+        raise DomainError(f"chain {labels[dead[0]]} terminates (zero raised state)")
+    return amps / nrm, 2.0 * (top + np.log(nrm)) - log_norm0
 
 
 def chain_state_closed(label: ChainLabel, p: ModeParams) -> ChainState:
     """Closed-form chain state via the normal-ordered expansion."""
-    n = label.chain // 2
-    nu = label.level
-    glog, gphase = _log_coeffs(n, p)
-    gphase = np.broadcast_to(gphase, glog.shape)
-    log_norm0 = _logsumexp(2.0 * glog[np.isfinite(glog)])
-    acc: dict[tuple[int, int], complex] = {}
-    for m in range(n + 1):
-        gl = float(glog[m]) - 0.5 * log_norm0
-        if gl == -math.inf:
-            continue
-        gp = float(gphase[m])
-        for k in range(nu // 2 + 1):
-            j_lo = max(0, nu - 2 * (k + n - m))
-            for j in range(j_lo, nu - 2 * k + 1):
-                coeff = _coeff_log(n, nu, m, k, j, p, gl, gp)
-                if coeff == 0:
-                    continue
-                ket = (m + nu - k - j, 2 * (n - m) - nu + 2 * k + 2 * j)
-                acc[ket] = acc.get(ket, 0j) + coeff
-    raw = FockVector(acc)
-    nrm = raw.norm()
-    if nrm == 0.0:
-        raise DomainError(f"chain {label} terminates (zero raised state)")
-    return ChainState(label, (1.0 / nrm) * raw, nrm * nrm, 2.0 * math.log(nrm))
+    amps, log_norm_sq = _level_block([label], p)
+    vec = FockVector(zip(level_basis(label.chain + label.level), amps[:, 0].tolist()))
+    log_norm_sq = float(log_norm_sq[0])
+    return ChainState(label, vec, _exp_norm_sq(log_norm_sq), log_norm_sq)
 
 
 def ladder_factor(label: ChainLabel, p: ModeParams) -> float:
@@ -180,45 +254,64 @@ def row_states(row: int, p: ModeParams) -> list[ChainState]:
     return [chain_state_closed(label, p) for label in row_labels(row)]
 
 
-def _gram(states: list[ChainState]) -> np.ndarray:
-    dim = len(states)
-    mat = np.empty((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            mat[i, j] = inner(states[i].vector, states[j].vector)
-    return mat
-
-
 def gram_matrix(row: int, p: ModeParams) -> np.ndarray:
     """Overlap matrix of the chain states meeting at one level.
 
     Hermitian with unit diagonal; positive definite for generic parameters.
     Entry (k, j) pairs chains 2k and 2j.
     """
-    return _gram(row_states(row, p))
+    c, _ = _level_block(row_labels(row), p)
+    return c.conj().T @ c
 
 
-def _solve_hermitian(mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve a Hermitian positive-definite system with one refinement step.
+def _lower_level(amps: np.ndarray, level: int, p: ModeParams) -> np.ndarray:
+    """A- on an array over level_basis(level), as an array over level - 1:
+    conj(alpha) b- keeps the fast index i and conj(beta) a- b+ takes i + 1
+    to i."""
+    dim = (level - 1) // 2 + 1
+    i = np.arange(dim)
+    out = p.alpha.conjugate() * np.sqrt(level - 2.0 * i) * amps[:dim]
+    nxt = amps[1:dim + 1]  # one entry short of out when level is odd
+    i = i[:nxt.size]
+    out[:nxt.size] += p.beta.conjugate() * np.sqrt((i + 1.0) * (level - 2.0 * i - 1.0)) * nxt
+    return out
 
-    Raises IllConditionedError when the condition estimate exceeds
-    COND_LIMIT or the Cholesky factorization fails outright.
+
+def _lowering(
+    label: ChainLabel, p: ModeParams,
+    terms: list[tuple[ChainLabel, complex]] | None = None,
+) -> tuple[list[tuple[ChainLabel, complex]], float]:
+    """(terms, residual) of A- |label> over the row below, from one build of
+    the lowered state t and of the row matrix C.
+
+    Without terms, x solves C x = t through one SVD of C, refused when the
+    Gram condition cond(C)^2 exceeds COND_LIMIT.  Given terms are scored as
+    they are.  The residual is ||t - C x|| / ||t||, 0 when t vanishes.
     """
-    cond = float(np.linalg.cond(mat))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditionedError(
-            f"Gram system condition {cond:.3e} exceeds {COND_LIMIT:.0e}", cond
-        )
-    try:
-        factor = scipy.linalg.cho_factor(mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise IllConditionedError(f"Cholesky failed: {exc}", cond) from exc
-    except scipy.linalg.LinAlgError as exc:
-        raise IllConditionedError(f"Cholesky failed: {exc}", cond) from exc
-    x = scipy.linalg.cho_solve(factor, rhs)
-    resid = rhs - mat @ x
-    x = x + scipy.linalg.cho_solve(factor, resid)
-    return x, cond
+    if label.level < 1:
+        raise DomainError("lowering decomposition needs level >= 1")
+    level = label.chain + label.level
+    target = _lower_level(_level_block([label], p)[0][:, 0], level, p)
+    labels = row_labels(level - 1)
+    c, _ = _level_block(labels, p)
+    if terms is None:
+        u, s, vh = np.linalg.svd(c)
+        cond_sq = float((s[0] / s[-1]) ** 2) if s[-1] > 0 else math.inf
+        if not cond_sq <= COND_LIMIT:
+            raise IllConditionedError(
+                f"Gram condition cond(C)^2 = {cond_sq:.3e} exceeds {COND_LIMIT:.0e}", cond_sq
+            )
+        x = vh.conj().T @ ((u.conj().T @ target) / s)
+        terms = [(lab, complex(z)) for lab, z in zip(labels, x)]
+    else:
+        x = np.zeros(len(labels), dtype=complex)
+        for lab, coeff in terms:
+            if lab.chain + lab.level != level - 1:
+                raise DomainError(f"{lab} is not in row {level - 1}")
+            x[lab.chain // 2] += coeff
+    tnorm = float(np.linalg.norm(target))
+    residual = float(np.linalg.norm(target - c @ x)) / tnorm if tnorm > 0 else 0.0
+    return terms, residual
 
 
 def lowering_decomposition(
@@ -228,25 +321,16 @@ def lowering_decomposition(
 
     Returns [(label_k, coefficient_k), ...] such that applying the lowering
     operator to the (chain, level) state equals the coefficient-weighted sum
-    of the row's chain states.  Solved through the row's Gram matrix.
+    of the row's chain states.  Solved on the row's coefficient matrix C, so
+    the solve sees cond(C), not the squared condition of the Gram matrix.
     """
-    if label.level < 1:
-        raise DomainError("lowering decomposition needs level >= 1")
-    target = apply_lowering(p, chain_state_closed(label, p).vector)
-    states = row_states(label.chain + label.level - 1, p)
-    rhs = np.array([inner(s.vector, target) for s in states])
-    coeffs, _cond = _solve_hermitian(_gram(states), rhs)
-    return [(s.label, complex(c)) for s, c in zip(states, coeffs)]
+    return _lowering(label, p)[0]
 
 
 def lowering_residual(
     label: ChainLabel, p: ModeParams, terms: list[tuple[ChainLabel, complex]]
 ) -> float:
     """||A- |label> - sum_k c_k |label_k>|| / ||A- |label>|| for the terms
-    of lowering_decomposition; 0 when the lowered state vanishes."""
-    target = apply_lowering(p, chain_state_closed(label, p).vector)
-    recon = FockVector()
-    for lab, coeff in terms:
-        recon = recon + coeff * chain_state_closed(lab, p).vector
-    tnorm = target.norm()
-    return (target - recon).norm() / tnorm if tnorm > 0 else 0.0
+    of lowering_decomposition, on the unpruned level arrays; 0 when the
+    lowered state vanishes."""
+    return _lowering(label, p, terms)[1]

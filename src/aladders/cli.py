@@ -14,6 +14,7 @@ import argparse
 import cmath
 import contextlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -262,7 +263,8 @@ def _cmd_chain(args) -> int:
     payload = {
         "chain": label.chain,
         "level": label.level,
-        "norm_sq": state.norm_sq,
+        # null where the squared norm is beyond a double, so stdout stays JSON
+        "norm_sq": state.norm_sq if math.isfinite(state.norm_sq) else None,
         "log_norm_sq": state.log_norm_sq,
         "vector": state.vector.to_records(),
     }
@@ -288,11 +290,11 @@ def _cmd_gram(args) -> int:
 def _cmd_lower(args) -> int:
     label = chains.ChainLabel(args.chain, args.level)
     p = ModeParams(args.alpha, args.beta)
-    terms = chains.lowering_decomposition(label, p)
+    terms, residual = chains._lowering(label, p)
     payload = {
         "chain": label.chain,
         "level": label.level,
-        "residual": chains.lowering_residual(label, p, terms),
+        "residual": residual,
         "terms": [
             {"chain": lab.chain, "level": lab.level, "re": c.real, "im": c.imag}
             for lab, c in terms

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import BinaryIO, TextIO
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DomainError
 from .fock import FockVector
@@ -226,6 +225,10 @@ def tube_mass_fraction(
         raise DomainError("grid has no values")
     if radius <= 0:
         raise DomainError(f"tube radius must be > 0, got {radius}")
+    # imported here, not at module level: scipy.spatial loads scipy.linalg,
+    # and no other CLI subcommand needs either
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(lissajous_curve(amp_x, amp_y, phase, samples))
     xg, yg = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
     pts = np.column_stack((xg.ravel(), yg.ravel()))

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aladders
 from aladders.cli import (
     EXIT_CONVERGENCE,
     EXIT_DOMAIN,
@@ -78,6 +83,21 @@ def test_chain_methods_agree(capsys):
         assert (rc["n"], rc["m"]) == (rb["n"], rb["m"])
         assert complex(rc["re"], rc["im"]) == pytest.approx(
             complex(rb["re"], rb["im"]), abs=1e-10)
+
+
+def test_chain_norm_beyond_double(capsys):
+    # the squared norm of chain (0, 200) at (2.5, 1) is e^1453.7
+    for method in ("closed", "bruteforce"):
+        code = run(["chain", "--chain", "0", "--level", "200", "--alpha", "2.5",
+                    "--beta", "1", "--method", method])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert "Traceback" not in captured.err
+        data = json.loads(captured.out, parse_constant=pytest.fail)  # strict JSON
+        assert data["norm_sq"] is None
+        assert math.isfinite(data["log_norm_sq"])
+        norm_sq = sum(r["re"] ** 2 + r["im"] ** 2 for r in data["vector"])
+        assert norm_sq == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gram_output(capsys):
@@ -216,6 +236,15 @@ def test_config_missing_file(capsys):
                 "--alpha", "1", "--beta", "1"])
     assert code == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_import_skips_scipy_linalg():
+    code = ("import sys, aladders.cli; "
+            "print(sorted({'scipy.spatial', 'scipy.linalg'} & set(sys.modules)))")
+    src = str(Path(aladders.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
 
 
 def test_selftest_passes(capsys):
