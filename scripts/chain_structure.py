@@ -15,10 +15,8 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
 from aladders.chains import (
-    gram_matrix,
+    gram_condition,
     ladder_factor,
     lowering_decomposition,
     lowering_residual,
@@ -42,7 +40,7 @@ def main(argv=None) -> int:
         writer.writerow(["row", "gram_condition", "chain", "level",
                          "ladder_factor", "lowering_residual"])
         for row in range(1, args.row_max + 1):
-            cond = float(np.linalg.cond(gram_matrix(row, p)))
+            cond = gram_condition(row, p)
             print(f"row {row:2d}: gram condition {cond:.3e}")
             for label in row_labels(row + 1):
                 if label.level < 1:

@@ -31,6 +31,7 @@ from .chains import (
     chain_state_bruteforce,
     chain_state_closed,
     expansion_coeff,
+    gram_condition,
     gram_matrix,
     ladder_factor,
     lowering_decomposition,

@@ -264,6 +264,20 @@ def gram_matrix(row: int, p: ModeParams) -> np.ndarray:
     return c.conj().T @ c
 
 
+def _cond_sq(s: np.ndarray) -> float:
+    """cond(C)^2, the Gram matrix's condition, from C's singular values in
+    descending order; inf when C is singular."""
+    return float((s[0] / s[-1]) ** 2) if s[-1] > 0 else math.inf
+
+
+def gram_condition(row: int, p: ModeParams) -> float:
+    """Condition number of gram_matrix(row, p), as cond(C)^2 from the
+    singular values of C.  The condition of the formed C^H C saturates near
+    1/eps; this one does not."""
+    c, _ = _level_block(row_labels(row), p)
+    return _cond_sq(np.linalg.svd(c, compute_uv=False))
+
+
 def _lower_level(amps: np.ndarray, level: int, p: ModeParams) -> np.ndarray:
     """A- on an array over level_basis(level), as an array over level - 1:
     conj(alpha) b- keeps the fast index i and conj(beta) a- b+ takes i + 1
@@ -296,7 +310,7 @@ def _lowering(
     c, _ = _level_block(labels, p)
     if terms is None:
         u, s, vh = np.linalg.svd(c)
-        cond_sq = float((s[0] / s[-1]) ** 2) if s[-1] > 0 else math.inf
+        cond_sq = _cond_sq(s)
         if not cond_sq <= COND_LIMIT:
             raise IllConditionedError(
                 f"Gram condition cond(C)^2 = {cond_sq:.3e} exceeds {COND_LIMIT:.0e}", cond_sq

@@ -279,7 +279,7 @@ def _cmd_gram(args) -> int:
     payload = {
         "row": args.row,
         "labels": [[lab.chain, lab.level] for lab in chains.row_labels(args.row)],
-        "condition": float(np.linalg.cond(mat)),
+        "condition": chains.gram_condition(args.row, p),
         "matrix": [[_pair(complex(z)) for z in line] for line in mat],
     }
     with _out_stream(args.out) as fh:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, TextIO
+from typing import BinaryIO, Callable, TextIO
 
 import numpy as np
 
@@ -149,14 +149,12 @@ def write_grid_csv(grid: Grid2D, fh: TextIO) -> None:
     """x,y,density rows, x-major, full float precision."""
     if grid.values is None:
         raise DomainError("grid has no values")
-    xs = [float(x) for x in grid.xs()]
-    ys = [float(y) for y in grid.ys()]
+    xs = [repr(float(x)) for x in grid.xs()]
+    ys = [repr(float(y)) for y in grid.ys()]
     fh.write("x,y,density\n")
-    for ix in range(grid.nx):
-        x = xs[ix]
-        row = grid.values[ix]
-        for iy in range(grid.ny):
-            fh.write(f"{x!r},{ys[iy]!r},{float(row[iy])!r}\n")
+    # one write per x row, each value formatted once with the repr text
+    for x, row in zip(xs, grid.values):
+        fh.write("".join([f"{x},{y},{v!r}\n" for y, v in zip(ys, map(float, row.tolist()))]))
 
 
 def write_grid_binary(grid: Grid2D, fh: BinaryIO) -> None:
@@ -212,6 +210,45 @@ def lissajous_curve(
     return np.column_stack((amp_x * np.cos(2.0 * t + phase), amp_y * np.cos(t)))
 
 
+def _tube_fractions(
+    grid: Grid2D, amp_x: float, amp_y: float, radius: float, samples: int = 2048
+) -> Callable[[float], float]:
+    """phase -> fraction of the grid's mass within `radius` of the Lissajous
+    curve at that phase.  The grid and radius are checked, and the grid's
+    nodes and mass computed, once for every phase.
+
+    A node at exactly `radius` from a curve sample is inside.  The query
+    stops at one ulp above the radius, because cKDTree's bound is strict: at
+    the radius itself such a node would come back as inf.
+    """
+    if grid.values is None:
+        raise DomainError("grid has no values")
+    if radius <= 0:
+        raise DomainError(f"tube radius must be > 0, got {radius}")
+    total = grid.integral()
+    if total == 0.0:
+        raise DomainError("grid carries no mass")
+    # imported here, not at module level: scipy.spatial loads scipy.linalg,
+    # and no other CLI subcommand needs either
+    from scipy.spatial import cKDTree
+
+    xg, yg = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
+    points = np.column_stack((xg.ravel(), yg.ravel()))
+    bound = np.nextafter(radius, np.inf)
+
+    def fraction(phase: float) -> float:
+        tree = cKDTree(lissajous_curve(amp_x, amp_y, phase, samples))
+        dist, _ = tree.query(points, k=1, distance_upper_bound=bound)
+        inside = (dist <= radius).reshape(grid.nx, grid.ny)
+        masked = Grid2D(
+            grid.x_min, grid.x_max, grid.y_min, grid.y_max,
+            grid.nx, grid.ny, grid.values * inside,
+        )
+        return masked.integral() / total
+
+    return fraction
+
+
 def tube_mass_fraction(
     grid: Grid2D,
     amp_x: float,
@@ -220,28 +257,9 @@ def tube_mass_fraction(
     radius: float = 1.0,
     samples: int = 2048,
 ) -> float:
-    """Fraction of the grid's mass within `radius` of the Lissajous curve."""
-    if grid.values is None:
-        raise DomainError("grid has no values")
-    if radius <= 0:
-        raise DomainError(f"tube radius must be > 0, got {radius}")
-    # imported here, not at module level: scipy.spatial loads scipy.linalg,
-    # and no other CLI subcommand needs either
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(lissajous_curve(amp_x, amp_y, phase, samples))
-    xg, yg = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
-    pts = np.column_stack((xg.ravel(), yg.ravel()))
-    dist, _ = tree.query(pts, k=1)
-    inside = (dist <= radius).reshape(grid.nx, grid.ny)
-    masked = Grid2D(
-        grid.x_min, grid.x_max, grid.y_min, grid.y_max,
-        grid.nx, grid.ny, grid.values * inside,
-    )
-    total = grid.integral()
-    if total == 0.0:
-        raise DomainError("grid carries no mass")
-    return masked.integral() / total
+    """Fraction of the grid's mass within `radius` of the Lissajous curve;
+    a node at exactly `radius` counts as inside."""
+    return _tube_fractions(grid, amp_x, amp_y, radius, samples)(phase)
 
 
 def best_tube_phase(
@@ -256,6 +274,7 @@ def best_tube_phase(
 
     A coarse scan on a subsampled copy of the grid picks the neighbourhood,
     a local scan at full resolution refines it.  Returns (fraction, phase).
+    Both grids are checked before any curve is queried.
     """
     if grid.values is None:
         raise DomainError("grid has no values")
@@ -266,13 +285,15 @@ def best_tube_phase(
         len(grid.xs()[::stride]), len(grid.ys()[::stride]),
         grid.values[::stride, ::stride],
     )
+    rough_fraction = _tube_fractions(rough, amp_x, amp_y, radius)
+    fraction = _tube_fractions(grid, amp_x, amp_y, radius)
     phases = np.linspace(0.0, 2.0 * math.pi, coarse, endpoint=False)
-    scores = [tube_mass_fraction(rough, amp_x, amp_y, ph, radius) for ph in phases]
+    scores = [rough_fraction(ph) for ph in phases]
     centre = phases[int(np.argmax(scores))]
     span = 2.0 * math.pi / coarse
     best = (-1.0, 0.0)
     for ph in np.linspace(centre - span, centre + span, refine):
-        frac = tube_mass_fraction(grid, amp_x, amp_y, float(ph), radius)
+        frac = fraction(float(ph))
         if frac > best[0]:
             best = (frac, float(ph))
     return best

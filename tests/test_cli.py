@@ -112,6 +112,19 @@ def test_gram_output(capsys):
     assert data["condition"] >= 1.0
 
 
+def test_gram_condition_is_cond_c_squared(capsys):
+    # the condition of the formed Gram matrix saturates near 1/eps (3.3e16
+    # here); cond(C)^2 of the row's chains, raised without pruning, does not
+    p = aladders.ModeParams(0.5, 1.0)
+    with aladders.drop_tolerance(0.0):
+        states = [aladders.chain_state_bruteforce(lab, p) for lab in aladders.row_labels(13)]
+    c = np.array([[st.vector[k] for st in states] for k in aladders.level_basis(13)])
+    s = np.linalg.svd(c, compute_uv=False)
+    data = run_json(capsys, ["gram", "--row", "13", "--alpha", "0.5", "--beta", "1"])
+    assert data["condition"] == pytest.approx((s[0] / s[-1]) ** 2, rel=1e-3)
+    assert data["condition"] > 1e20
+
+
 def test_lower_single_term(capsys):
     data = run_json(capsys, ["lower", "--chain", "0", "--level", "1",
                              "--alpha", "0.6,0.8", "--beta", "1,0"])

@@ -149,6 +149,33 @@ def test_csv_layout(rng):
     assert float(first[2]) == grid.values[0, 0]
 
 
+def old_csv_writer(grid: Grid2D, fh) -> None:
+    """The per-row f-string writer that write_grid_csv replaced."""
+    xs = [float(x) for x in grid.xs()]
+    ys = [float(y) for y in grid.ys()]
+    fh.write("x,y,density\n")
+    for ix in range(grid.nx):
+        x = xs[ix]
+        row = grid.values[ix]
+        for iy in range(grid.ny):
+            fh.write(f"{x!r},{ys[iy]!r},{float(row[iy])!r}\n")
+
+
+def test_csv_bytes_match_per_row_writer(rng):
+    # subnormals, signed zero, huge values and values that need all 17
+    # significant digits to round-trip, on axes with 17-digit nodes
+    awkward = [5e-324, -0.0, 0.0, 1e300, -1e300, 0.1 + 0.2, 1 / 3, 2.0**-1022,
+               math.pi * 1e-310, 1.0000000000000002, 123456789.12345679, -7e-17]
+    vals = rng.random((7, 5)) * 1e-3
+    vals.flat[:len(awkward)] = awkward
+    grid = Grid2D(-0.1, 1 / 3, -math.e, 0.7, 7, 5, values=vals)
+    new, old = io.StringIO(), io.StringIO()
+    write_grid_csv(grid, new)
+    old_csv_writer(grid, old)
+    assert new.getvalue().encode() == old.getvalue().encode()
+    assert "5e-324" in new.getvalue() and "-0.0" in new.getvalue()
+
+
 def test_binary_roundtrip(rng):
     grid = make_grid(rng)
     buf = io.BytesIO()
@@ -209,12 +236,93 @@ def test_tube_fraction_bounds(rng):
         tube_mass_fraction(grid, 1.0, 1.0, 0.0, radius=0.0)
 
 
-def test_high_level_mass_concentrates_on_curve():
-    # moderately deep principal state: most mass already hugs the curve
-    p = ModeParams(alpha=1.0, beta=1.0)
-    v = principal_state(40, p).to_fock()
+def test_tube_counts_a_node_at_exactly_the_radius():
+    # the node (1, 2) lies at distance exactly 1 from the curve sample (1, 1)
+    # at t = 0 of x = cos 2t, y = cos t, and nowhere nearer
+    vals = np.zeros((5, 5))
+    vals[3, 4] = 1.0
+    grid = Grid2D(-2.0, 2.0, -2.0, 2.0, 5, 5, values=vals)
+    assert (grid.xs()[3], grid.ys()[4]) == (1.0, 2.0)
+    assert tube_mass_fraction(grid, 1.0, 1.0, 0.0, radius=1.0) == 1.0
+    assert tube_mass_fraction(grid, 1.0, 1.0, 0.0, radius=math.nextafter(1.0, 0.0)) == 0.0
+
+
+@pytest.fixture(scope="module")
+def level40():
+    """A moderately deep principal state's density and its curve amplitudes."""
+    v = principal_state(40, ModeParams(alpha=1.0, beta=1.0)).to_fock()
     grid = density_grid(v, Grid2D(-8, 8, -12, 12, 220, 220))
-    A, B = lissajous_amplitudes(v)
+    return grid, *lissajous_amplitudes(v)
+
+
+def unbounded_distances(grid: Grid2D, amp_x, amp_y, phase) -> np.ndarray:
+    """Distance of every node to the sampled curve, by an unbounded query."""
+    from scipy.spatial import cKDTree
+
+    xg, yg = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
+    pts = np.column_stack((xg.ravel(), yg.ravel()))
+    dist, _ = cKDTree(lissajous_curve(amp_x, amp_y, phase)).query(pts, k=1)
+    return dist.reshape(grid.nx, grid.ny)
+
+
+def reference_fraction(grid: Grid2D, dist: np.ndarray, radius: float) -> float:
+    inside = Grid2D(grid.x_min, grid.x_max, grid.y_min, grid.y_max,
+                    grid.nx, grid.ny, grid.values * (dist <= radius))
+    return inside.integral() / grid.integral()
+
+
+def test_tube_fraction_matches_unbounded_query(level40):
+    grid, A, B = level40
+    for phase in (0.0, 0.63, 2.0, 4.5):
+        dist = unbounded_distances(grid, A, B, phase)
+        for radius in (0.25, 1.0, 2.5):
+            want = reference_fraction(grid, dist, radius)
+            assert tube_mass_fraction(grid, A, B, phase, radius) == want
+
+
+def test_best_tube_phase_matches_brute_force_scan(level40):
+    grid, A, B = level40
+    coarse, refine = 9, 4
+    assert min(grid.nx, grid.ny) // 150 == 1  # so the coarse scan sees the full grid
+
+    def score(phase):
+        return reference_fraction(grid, unbounded_distances(grid, A, B, phase), 1.0)
+
+    phases = np.linspace(0.0, 2.0 * math.pi, coarse, endpoint=False)
+    centre = phases[int(np.argmax([score(ph) for ph in phases]))]
+    span = 2.0 * math.pi / coarse
+    scan = [(score(float(ph)), float(ph))
+            for ph in np.linspace(centre - span, centre + span, refine)]
+    want = max(scan, key=lambda pair: pair[0])  # the first of equal fractions
+    assert best_tube_phase(grid, A, B, radius=1.0, coarse=coarse, refine=refine) == want
+
+
+def test_best_tube_phase_refuses_bad_input_before_any_query(monkeypatch):
+    import scipy.spatial
+
+    def no_query(*_args, **_kwargs):
+        raise AssertionError("a curve was queried")
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", no_query)
+    live = density_grid(FockVector.basis(0, 0), Grid2D(-4, 4, -4, 4, 40, 40))
+    for radius in (0.0, -1.0):
+        with pytest.raises(DomainError, match="radius"):
+            best_tube_phase(live, 1.0, 1.0, radius=radius)
+    dead = Grid2D(-4, 4, -4, 4, 40, 40, values=np.zeros((40, 40)))
+    with pytest.raises(DomainError, match="no mass"):
+        best_tube_phase(dead, 1.0, 1.0)
+    # alternating signs along x: no mass on the full grid, but the stride-2
+    # coarse copy keeps only the positive rows
+    signs = np.where(np.arange(300) % 2 == 0, 1.0, -1.0)
+    striped = Grid2D(-4, 4, -4, 4, 300, 300, values=np.repeat(signs[:, None], 300, axis=1))
+    assert striped.integral() == 0.0
+    with pytest.raises(DomainError, match="no mass"):
+        best_tube_phase(striped, 1.0, 1.0)
+
+
+def test_high_level_mass_concentrates_on_curve(level40):
+    # moderately deep principal state: most mass already hugs the curve
+    grid, A, B = level40
     frac, phase = best_tube_phase(grid, A, B, radius=1.0)
     assert frac > 0.8
     assert 0.0 <= phase < math.pi
