@@ -3,7 +3,8 @@
 The chain labelled (2n, nu) is the level-(2n + nu) state obtained by raising
 the level-2n zero mode nu times.  Two independent constructions are kept:
 
-* chain_state_bruteforce: literal repeated operator application (oracle);
+* chain_state_bruteforce: literal repeated raising of the zero mode's level
+  array by the two diagonals of the raising operator (oracle);
 * chain_state_closed: one pass over the normal-ordered expansion of the
   nu-th power of the raising operator,
 
@@ -33,9 +34,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, IllConditionedError
-from .fock import FockVector, level_basis
-from .operators import ModeParams, apply_raising
-from .zero_modes import _log_coeffs, _logsumexp, zero_mode_state
+from .fock import FockVector
+from .operators import ModeParams
+from .zero_modes import _exp_or_inf, _log_coeffs, _logsumexp, _zero_mode_array
 
 # Lowering solves whose Gram condition, cond(C)^2, exceeds this are refused.
 COND_LIMIT = 1e12
@@ -73,30 +74,26 @@ class ChainState:
     log_norm_sq: float
 
 
-def _exp_norm_sq(log_norm_sq: float) -> float:
-    """exp(log_norm_sq), or inf where that is beyond a double."""
-    try:
-        return math.exp(log_norm_sq)
-    except OverflowError:
-        return math.inf
-
-
 def chain_state_bruteforce(label: ChainLabel, p: ModeParams) -> ChainState:
-    """Raise the zero mode level times, renormalizing each step.
+    """Raise the zero mode's level array level times, renormalizing each
+    step, and prune once, when the vector is built.
 
     The per-step norms are accumulated in log space, so norm_sq matches the
     single unnormalized construction without intermediate overflow.
     """
-    vec = zero_mode_state(label.chain // 2, p)
+    level = label.chain
+    amps = _zero_mode_array(label.chain // 2, p)
     log_norm_sq = 0.0
     for _ in range(label.level):
-        vec = apply_raising(p, vec)
-        step = vec.norm()
+        amps = _raise_level(amps, level, p)
+        level += 1
+        step = float(np.linalg.norm(amps))
         if step == 0.0:
             raise DomainError(f"chain {label} terminates (zero raised state)")
-        vec = (1.0 / step) * vec
+        amps /= step
         log_norm_sq += 2.0 * math.log(step)
-    return ChainState(label, vec, _exp_norm_sq(log_norm_sq), log_norm_sq)
+    return ChainState(label, FockVector.from_level(level, amps),
+                      _exp_or_inf(log_norm_sq), log_norm_sq)
 
 
 def _term_logs(
@@ -228,9 +225,9 @@ def _level_block(
 def chain_state_closed(label: ChainLabel, p: ModeParams) -> ChainState:
     """Closed-form chain state via the normal-ordered expansion."""
     amps, log_norm_sq = _level_block([label], p)
-    vec = FockVector(zip(level_basis(label.chain + label.level), amps[:, 0].tolist()))
+    vec = FockVector.from_level(label.chain + label.level, amps[:, 0])
     log_norm_sq = float(log_norm_sq[0])
-    return ChainState(label, vec, _exp_norm_sq(log_norm_sq), log_norm_sq)
+    return ChainState(label, vec, _exp_or_inf(log_norm_sq), log_norm_sq)
 
 
 def ladder_factor(label: ChainLabel, p: ModeParams) -> float:
@@ -278,16 +275,32 @@ def gram_condition(row: int, p: ModeParams) -> float:
     return _cond_sq(np.linalg.svd(c, compute_uv=False))
 
 
+def _raising_diagonals(level: int, alpha: complex, beta: complex
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The two diagonals of alpha b+ + beta a+ b- from level_basis(level) to
+    level + 1: alpha b+ keeps the fast index i, d0[i] = alpha sqrt(level + 1 - 2i),
+    and beta a+ b- takes i to i + 1, d1[i] = beta sqrt((i + 1)(level - 2i)).
+    A- is the adjoint: the same diagonals at conj(alpha), conj(beta)."""
+    i = np.arange(level // 2 + 1)
+    d0 = alpha * np.sqrt(level + 1 - 2.0 * i)
+    i = i[:(level + 1) // 2]
+    return d0, beta * np.sqrt((i + 1.0) * (level - 2.0 * i))
+
+
+def _raise_level(amps: np.ndarray, level: int, p: ModeParams) -> np.ndarray:
+    """A+ on an array over level_basis(level), as an array over level + 1."""
+    d0, d1 = _raising_diagonals(level, p.alpha, p.beta)
+    out = np.zeros((level + 1) // 2 + 1, dtype=complex)
+    out[:d0.size] = d0 * amps
+    out[1:d1.size + 1] += d1 * amps[:d1.size]
+    return out
+
+
 def _lower_level(amps: np.ndarray, level: int, p: ModeParams) -> np.ndarray:
-    """A- on an array over level_basis(level), as an array over level - 1:
-    conj(alpha) b- keeps the fast index i and conj(beta) a- b+ takes i + 1
-    to i."""
-    dim = (level - 1) // 2 + 1
-    i = np.arange(dim)
-    out = p.alpha.conjugate() * np.sqrt(level - 2.0 * i) * amps[:dim]
-    nxt = amps[1:dim + 1]  # one entry short of out when level is odd
-    i = i[:nxt.size]
-    out[:nxt.size] += p.beta.conjugate() * np.sqrt((i + 1.0) * (level - 2.0 * i - 1.0)) * nxt
+    """A- on an array over level_basis(level), as an array over level - 1."""
+    d0, d1 = _raising_diagonals(level - 1, p.alpha.conjugate(), p.beta.conjugate())
+    out = d0 * amps[:d0.size]
+    out[:d1.size] += d1 * amps[1:d1.size + 1]
     return out
 
 

@@ -17,14 +17,15 @@ import contextlib
 import json
 import math
 from contextvars import ContextVar
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DomainError
 
 FockIndex = tuple[int, int]
 
-# Amplitudes with |a| < drop tolerance are discarded.  Overridable per vector
-# or for a block of code with drop_tolerance (the CLI exposes --drop-tol).
+# Amplitudes with |a| < drop tolerance are discarded when a vector is built.
+# Overridable for a block of code with drop_tolerance (the CLI exposes
+# --drop-tol).
 DEFAULT_DROP_TOL = 1e-14
 
 _drop_tol: ContextVar[float] = ContextVar("drop_tol", default=DEFAULT_DROP_TOL)
@@ -32,8 +33,8 @@ _drop_tol: ContextVar[float] = ContextVar("drop_tol", default=DEFAULT_DROP_TOL)
 
 @contextlib.contextmanager
 def drop_tolerance(tol: float):
-    """Within the block, vectors built without an explicit ``tol`` prune
-    amplitudes below ``tol``; the previous tolerance returns on exit.
+    """Within the block, every vector built prunes amplitudes below ``tol``;
+    the previous tolerance returns on exit.
 
     The setting is local to the current thread or asyncio task.
     """
@@ -73,30 +74,21 @@ class FockVector:
 
     Construct from a mapping {(n, m): amplitude} or an iterable of
     ((n, m), amplitude) pairs; duplicate keys are summed.  Entries whose
-    magnitude ends up below ``tol`` are dropped.
+    magnitude ends up below the drop tolerance are dropped; this constructor
+    is the one place that reads it.
     """
 
-    __slots__ = ("_amp", "tol")
+    __slots__ = ("_amp",)
 
-    def __init__(
-        self,
-        amplitudes: Union[Mapping[FockIndex, complex], Iterable] = (),
-        tol: float | None = None,
-    ):
-        if tol is None:
-            tol = _drop_tol.get()
+    def __init__(self, amplitudes: Union[Mapping[FockIndex, complex], Iterable] = ()):
+        tol = _drop_tol.get()
         items = amplitudes.items() if hasattr(amplitudes, "items") else amplitudes
         merged: dict[FockIndex, complex] = {}
         for key, value in items:
             idx = _check_index(key)
             merged[idx] = merged.get(idx, 0j) + complex(value)
-        amp: dict[FockIndex, complex] = {}
-        for idx in sorted(merged):
-            value = merged[idx]
-            if abs(value) >= tol and value != 0:
-                amp[idx] = value
+        amp = {idx: v for idx, v in sorted(merged.items()) if abs(v) >= tol and v != 0}
         object.__setattr__(self, "_amp", amp)
-        object.__setattr__(self, "tol", tol)
 
     def __setattr__(self, name, value):
         raise AttributeError("FockVector is immutable")
@@ -105,6 +97,14 @@ class FockVector:
     def basis(cls, n: int, m: int) -> "FockVector":
         """Unit basis ket |n, m>."""
         return cls({(n, m): 1.0 + 0j})
+
+    @classmethod
+    def from_level(cls, level: int, amps: Sequence[complex]) -> "FockVector":
+        """The vector whose amplitudes over level_basis(level) are amps."""
+        basis = level_basis(level)
+        if len(amps) != len(basis):
+            raise DomainError(f"level {level} needs {len(basis)} amplitudes, got {len(amps)}")
+        return cls(zip(basis, amps))
 
     @classmethod
     def zero(cls) -> "FockVector":
@@ -134,7 +134,7 @@ class FockVector:
         out = dict(self._amp)
         for idx, value in other._amp.items():
             out[idx] = out.get(idx, 0j) + value
-        return FockVector(out, tol=self.tol)
+        return FockVector(out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         if not isinstance(other, FockVector):
@@ -142,11 +142,11 @@ class FockVector:
         out = dict(self._amp)
         for idx, value in other._amp.items():
             out[idx] = out.get(idx, 0j) - value
-        return FockVector(out, tol=self.tol)
+        return FockVector(out)
 
     def __mul__(self, scalar) -> "FockVector":
         s = complex(scalar)
-        return FockVector({k: s * v for k, v in self._amp.items()}, tol=self.tol)
+        return FockVector({k: s * v for k, v in self._amp.items()})
 
     __rmul__ = __mul__
 
@@ -204,39 +204,24 @@ def inner(u: FockVector, v: FockVector) -> complex:
 
 
 def a_minus(v: FockVector) -> FockVector:
-    return FockVector(
-        (((n - 1, m), math.sqrt(n) * a) for (n, m), a in v.items() if n > 0),
-        tol=v.tol,
-    )
+    return FockVector((((n - 1, m), math.sqrt(n) * a) for (n, m), a in v.items() if n > 0))
 
 
 def a_plus(v: FockVector) -> FockVector:
-    return FockVector(
-        (((n + 1, m), math.sqrt(n + 1) * a) for (n, m), a in v.items()),
-        tol=v.tol,
-    )
+    return FockVector((((n + 1, m), math.sqrt(n + 1) * a) for (n, m), a in v.items()))
 
 
 def b_minus(v: FockVector) -> FockVector:
-    return FockVector(
-        (((n, m - 1), math.sqrt(m) * a) for (n, m), a in v.items() if m > 0),
-        tol=v.tol,
-    )
+    return FockVector((((n, m - 1), math.sqrt(m) * a) for (n, m), a in v.items() if m > 0))
 
 
 def b_plus(v: FockVector) -> FockVector:
-    return FockVector(
-        (((n, m + 1), math.sqrt(m + 1) * a) for (n, m), a in v.items()),
-        tol=v.tol,
-    )
+    return FockVector((((n, m + 1), math.sqrt(m + 1) * a) for (n, m), a in v.items()))
 
 
 def apply_hamiltonian(v: FockVector) -> FockVector:
     """H v with H = 2 a+a- + b+b- + 3/2."""
-    return FockVector(
-        (((n, m), (2 * n + m + 1.5) * a) for (n, m), a in v.items()),
-        tol=v.tol,
-    )
+    return FockVector((((n, m), (2 * n + m + 1.5) * a) for (n, m), a in v.items()))
 
 
 def apply_position(mode: str, v: FockVector) -> FockVector:

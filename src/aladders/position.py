@@ -223,7 +223,7 @@ def _tube_fractions(
     """
     if grid.values is None:
         raise DomainError("grid has no values")
-    if radius <= 0:
+    if not radius > 0:
         raise DomainError(f"tube radius must be > 0, got {radius}")
     total = grid.integral()
     if total == 0.0:

@@ -12,7 +12,8 @@ the normalization has the product form
 
 with H_nu the all-plus-signs (pseudo-Hermite) polynomial
 H_nu(x) = sum_k nu!/((nu-2k)! k!) (2x)^{nu-2k}.  Everything is accumulated in
-log space so levels up to a few hundred stay finite.
+log space, so amplitudes and log N_nu stay finite at every level; N_nu itself
+is inf where it is beyond a double.
 
 The position/momentum uncertainty products on these states reduce to mode
 occupations:
@@ -43,6 +44,7 @@ from .fock import (
     inner,
 )
 from .operators import ModeParams
+from .zero_modes import _exp_or_inf
 
 
 def log_modified_binomial(n: int, k: int, t: int) -> float:
@@ -86,8 +88,7 @@ def log_pseudo_hermite(nu: int, x: float) -> float:
 
 def pseudo_hermite(nu: int, x: float) -> float:
     """H_nu(x) = sum_k nu!/((nu-2k)! k!) (2x)^{nu-2k}; H_2 = 4x^2 + 2."""
-    val = log_pseudo_hermite(nu, x)
-    return 0.0 if val == -math.inf else math.exp(val)
+    return _exp_or_inf(log_pseudo_hermite(nu, x))
 
 
 def principal_log_norm_sq(nu: int, p: ModeParams) -> float:
@@ -106,9 +107,9 @@ def principal_log_norm_sq(nu: int, p: ModeParams) -> float:
 
 def principal_norm_sq(nu: int, p: ModeParams) -> float:
     """N_nu = (|alpha||beta|/2)^nu H_nu(|alpha|/|beta|); equals the direct
-    sum of squared amplitudes sum_k |alpha|^{2(nu-k)} |beta|^{2k} binom2."""
-    val = principal_log_norm_sq(nu, p)
-    return 0.0 if val == -math.inf else math.exp(val)
+    sum of squared amplitudes sum_k |alpha|^{2(nu-k)} |beta|^{2k} binom2;
+    inf where N_nu is beyond a double."""
+    return _exp_or_inf(principal_log_norm_sq(nu, p))
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ class PrincipalState:
     """Normalized principal-chain state at one level.
 
     coeffs[k] is the amplitude of |k, nu - 2k>; norm_sq is N_nu of the
-    unnormalized closed form (nu! not included).
+    unnormalized closed form (nu! not included), inf beyond a double.
     """
 
     nu: int
@@ -124,9 +125,7 @@ class PrincipalState:
     norm_sq: float
 
     def to_fock(self) -> FockVector:
-        return FockVector(
-            {(k, self.nu - 2 * k): c for k, c in enumerate(self.coeffs)}
-        )
+        return FockVector.from_level(self.nu, self.coeffs)
 
 
 def principal_state(nu: int, p: ModeParams) -> PrincipalState:
@@ -251,8 +250,7 @@ def binomial_ansatz_state(nu: int, a_param: complex, b_param: complex) -> FockVe
     if norm_sq == 0.0:
         raise DomainError("binomial ansatz needs a nonzero parameter")
     scale = norm_sq**-0.5
-    amps = {}
-    for k in range(nu + 1):
-        coeff = scale * a_param**k * b_param ** (nu - k) * math.sqrt(math.comb(nu, k))
-        amps[(k, 2 * (nu - k))] = coeff
-    return FockVector(amps)
+    return FockVector.from_level(2 * nu, [
+        scale * a_param**k * b_param ** (nu - k) * math.sqrt(math.comb(nu, k))
+        for k in range(nu + 1)
+    ])

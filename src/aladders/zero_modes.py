@@ -48,8 +48,6 @@ def _log_coeffs(n: int, p: ModeParams) -> tuple[np.ndarray, np.ndarray]:
     """
     ratio = -2.0 * p.alpha.conjugate() / p.beta.conjugate()
     j = np.arange(n + 1)
-    log_mag = np.full(n + 1, -np.inf)
-    phase = np.zeros(n + 1)
     lg = math.lgamma
     body = np.array(
         [
@@ -59,11 +57,8 @@ def _log_coeffs(n: int, p: ModeParams) -> tuple[np.ndarray, np.ndarray]:
         ]
     )
     if ratio == 0:
-        log_mag[0] = body[0]
-        return log_mag, phase
-    log_mag = j * math.log(abs(ratio)) + body
-    phase = j * cmath.phase(ratio)
-    return log_mag, phase
+        return np.where(j == 0, body, -np.inf), np.zeros(n + 1)
+    return j * math.log(abs(ratio)) + body, j * cmath.phase(ratio)
 
 
 def zero_mode_coeff(n: int, j: int, p: ModeParams) -> complex:
@@ -72,8 +67,6 @@ def zero_mode_coeff(n: int, j: int, p: ModeParams) -> complex:
     if not 0 <= j <= n:
         raise DomainError(f"coefficient index j must be in 0..{n}, got {j}")
     log_mag, phase = _log_coeffs(n, p)
-    if log_mag[j] == -np.inf:
-        return 0j
     return cmath.rect(math.exp(log_mag[j]), phase[j])
 
 
@@ -108,12 +101,8 @@ class ZeroModeCoeffs:
     def build(cls, n: int, p: ModeParams) -> "ZeroModeCoeffs":
         n = _check_n(n)
         log_mag, phase = _log_coeffs(n, p)
-        gamma = tuple(
-            cmath.rect(math.exp(lm), ph) if lm != -np.inf else 0j
-            for lm, ph in zip(log_mag, np.broadcast_to(phase, log_mag.shape))
-        )
-        finite = log_mag[np.isfinite(log_mag)]
-        norm_sq = float(np.exp(_logsumexp(2.0 * finite)))
+        gamma = tuple(cmath.rect(math.exp(lm), ph) for lm, ph in zip(log_mag, phase))
+        norm_sq = float(np.exp(_logsumexp(2.0 * log_mag)))
         return cls(n=n, gamma=gamma, norm_sq=norm_sq)
 
 
@@ -127,6 +116,22 @@ def _logsumexp(logs: np.ndarray) -> float:
     return top + math.log(float(np.sum(np.exp(logs - top))))
 
 
+def _exp_or_inf(log_value: float) -> float:
+    """exp(log_value), or inf where that is beyond a double."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
+def _zero_mode_array(n: int, p: ModeParams) -> np.ndarray:
+    """The unit level-2n zero mode as an array over level_basis(2n), before
+    any pruning; index j holds gamma_j / sqrt(N), normalized in log space."""
+    log_mag, phase = _log_coeffs(n, p)
+    log_mag = log_mag - 0.5 * _logsumexp(2.0 * log_mag)
+    return np.array([cmath.rect(math.exp(lm), ph) for lm, ph in zip(log_mag, phase)])
+
+
 def zero_mode_state(n: int, p: ModeParams) -> FockVector:
     """Normalized level-2n zero mode sum_j gamma_j |j, 2(n-j)> / sqrt(N).
 
@@ -134,18 +139,7 @@ def zero_mode_state(n: int, p: ModeParams) -> FockVector:
     not overflow even when the raw gamma_j would.
     """
     n = _check_n(n)
-    log_mag, phase = _log_coeffs(n, p)
-    phase = np.broadcast_to(phase, log_mag.shape)
-    finite = log_mag[np.isfinite(log_mag)]
-    log_norm = _logsumexp(2.0 * finite)
-    amps = {}
-    for j in range(n + 1):
-        if log_mag[j] == -np.inf:
-            continue
-        amps[(j, 2 * (n - j))] = cmath.rect(
-            math.exp(log_mag[j] - 0.5 * log_norm), phase[j]
-        )
-    return FockVector(amps)
+    return FockVector.from_level(2 * n, _zero_mode_array(n, p))
 
 
 def lowering_matrix(nu: int, p: ModeParams) -> np.ndarray:

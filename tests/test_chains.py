@@ -23,9 +23,9 @@ from aladders.chains import (
 )
 from aladders.criteria import CHAIN_TOL, LOWERING_TOL
 from aladders.errors import DomainError, IllConditionedError
-from aladders.fock import FockVector, drop_tolerance
+from aladders.fock import FockVector
 from aladders.operators import ModeParams, apply_lowering, apply_raising
-from aladders.zero_modes import zero_mode_state
+from aladders.zero_modes import lowering_matrix, zero_mode_state
 
 from conftest import random_params
 
@@ -109,14 +109,31 @@ def test_closed_matches_bruteforce(rng):
 
     for _ in range(3):
         p = random_params(rng, ratio_range=(0.6, 1.8))
-        for label in small:
+        for label in small + deep:
             check(label, p)
-        # Brute force prunes after every raising step, and on deep chains
-        # the kets it drops grow back into the state (up to 0.24 relative at
-        # (0, 200)), so the oracle runs unpruned there.
-        with drop_tolerance(0.0):
-            for label in deep:
-                check(label, p)
+    for label in (ChainLabel(20, 20), ChainLabel(60, 60)):
+        check(label, ModeParams(alpha=10.0, beta=0.1))
+
+
+def test_raising_diagonals_match_operator_algebra(rng):
+    # the A+ block from level L to L + 1 is the adjoint of A- from L + 1,
+    # which lowering_matrix builds by applying the FockVector algebra
+    for _ in range(3):
+        p = random_params(rng)
+        for level in range(13):
+            d0, d1 = chains._raising_diagonals(level, p.alpha, p.beta)
+            up = np.zeros(((level + 1) // 2 + 1, level // 2 + 1), dtype=complex)
+            i = np.arange(d0.size)
+            up[i, i] = d0
+            up[i[:d1.size] + 1, i[:d1.size]] = d1
+            want = lowering_matrix(level + 1, p).conj().T
+            assert up.shape == want.shape
+            assert np.abs(up - want).max() < 1e-14 * np.abs(want).max()
+            amps = rng.standard_normal(level // 2 + 1) + 1j * rng.standard_normal(level // 2 + 1)
+            assert np.abs(chains._raise_level(amps, level, p) - up @ amps).max() < 1e-13
+            back = rng.standard_normal(up.shape[0]) + 1j * rng.standard_normal(up.shape[0])
+            assert np.abs(chains._lower_level(back, level + 1, p)
+                          - up.conj().T @ back).max() < 1e-13
 
 
 def test_closed_state_invariants(rng):

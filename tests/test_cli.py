@@ -185,6 +185,18 @@ def test_density_binary_deterministic(tmp_path, capsys):
     assert grid.values.sum() > 0.0
 
 
+def test_density_norm_beyond_double(capsys):
+    # N_400 at alpha = beta = 1 is beyond a double; the state is not
+    code = run(["density", "--level", "400", "--alpha", "1", "--beta", "1",
+                "--nx", "3", "--ny", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert "Traceback" not in captured.err
+    lines = captured.out.splitlines()
+    assert lines[0] == "x,y,density"
+    assert len(lines) == 1 + 3 * 3
+
+
 def test_polar_parameter_parsing(capsys):
     # polar and cartesian spellings of the same alpha give the same norm
     a = run_json(capsys, ["chain", "--chain", "0", "--level", "2",

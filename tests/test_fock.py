@@ -120,6 +120,14 @@ def test_level_basis_properties(nu):
     assert basis == sorted(basis)
 
 
+def test_from_level_reads_the_level_basis():
+    v = FockVector.from_level(4, np.array([1.0, 1e-20, 2j]))
+    assert v.support() == [(0, 4), (2, 0)]  # pruned like any other vector
+    assert v[(2, 0)] == 2j
+    with pytest.raises(DomainError):
+        FockVector.from_level(4, [1.0, 2.0])
+
+
 # ------------------------------------------------------------ inner product
 
 def test_inner_orthonormal_basis():
@@ -165,7 +173,13 @@ def test_drop_tolerance_is_configurable():
     with drop_tolerance(1e-3):
         assert len(FockVector({(0, 0): 1e-4})) == 0
         assert len(FockVector({(0, 0): 1e-2})) == 1
-        assert len(FockVector({(0, 0): 1e-4}, tol=0.0)) == 1
+        with drop_tolerance(0.0):
+            assert len(FockVector({(0, 0): 1e-4})) == 1
+            assert len(FockVector({(0, 0): 1e-300})) == 1
+        assert len(FockVector({(0, 0): 1e-4})) == 0  # the outer block again
+        # operations build new vectors, which read the tolerance in force
+        assert len(a_plus(FockVector.from_level(0, [1e-2]))) == 1
+        assert len(0.01 * FockVector({(0, 0): 1e-2})) == 0
     assert len(FockVector({(0, 0): 1e-4})) == 1  # reverted on exit
     with pytest.raises(DomainError):
         with drop_tolerance(-1.0):
@@ -175,7 +189,10 @@ def test_drop_tolerance_is_configurable():
 def test_vector_is_immutable():
     v = ket(0, 0)
     with pytest.raises(AttributeError):
-        v.tol = 0.0
+        v._amp = {}
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    assert v.support() == [(0, 0)]
 
 
 def test_arithmetic(rng):

@@ -305,9 +305,11 @@ def test_best_tube_phase_refuses_bad_input_before_any_query(monkeypatch):
 
     monkeypatch.setattr(scipy.spatial, "cKDTree", no_query)
     live = density_grid(FockVector.basis(0, 0), Grid2D(-4, 4, -4, 4, 40, 40))
-    for radius in (0.0, -1.0):
+    for radius in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError, match="radius"):
             best_tube_phase(live, 1.0, 1.0, radius=radius)
+        with pytest.raises(DomainError, match="radius"):
+            tube_mass_fraction(live, 1.0, 1.0, 0.0, radius=radius)
     dead = Grid2D(-4, 4, -4, 4, 40, 40, values=np.zeros((40, 40)))
     with pytest.raises(DomainError, match="no mass"):
         best_tube_phase(dead, 1.0, 1.0)

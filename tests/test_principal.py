@@ -20,6 +20,7 @@ from aladders.principal import (
     log_pseudo_hermite,
     mode_occupation,
     modified_binomial,
+    principal_log_norm_sq,
     principal_norm_sq,
     principal_state,
     pseudo_hermite,
@@ -138,6 +139,17 @@ def test_principal_state_structure():
     assert v.norm() == pytest.approx(1.0, abs=1e-12)
     assert v.support() == [(0, 5), (1, 3), (2, 1)]
     assert ps.norm_sq == pytest.approx(principal_norm_sq(5, P))
+
+
+def test_norm_beyond_double_is_inf():
+    # log N_400 at alpha = beta = 1 is 887.1, past the largest double's 709.8
+    p = ModeParams(alpha=1.0, beta=1.0)
+    assert principal_log_norm_sq(400, p) == pytest.approx(887.124, abs=1e-3)
+    assert principal_norm_sq(400, p) == math.inf
+    assert pseudo_hermite(400, 1.0) == math.inf
+    ps = principal_state(400, p)
+    assert ps.norm_sq == math.inf
+    assert ps.to_fock().norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_principal_state_alpha_zero_degenerates():
