@@ -31,12 +31,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, IllConditionedError
 from .fock import FockVector
 from .operators import ModeParams
-from .zero_modes import _exp_or_inf, _log_coeffs, _logsumexp, _zero_mode_array
+from .zero_modes import (
+    _exp_or_inf, _log_coeffs, _log_factorials, _logsumexp, _zero_mode_array,
+)
 
 # Lowering solves whose Gram condition, cond(C)^2, exceeds this are refused.
 COND_LIMIT = 1e12
@@ -108,7 +109,7 @@ def _term_logs(
     factors b- leave r = s - q slow quanta, then nu - k - j factors a+ and
     j factors b+ raise it to |m + nu - k - j, r + j>.
     """
-    lf = gammaln(np.arange(1.0, (2 * n + nu).max() + 2))  # lf[i] = log(i!)
+    lf = _log_factorials(int((2 * n + nu).max()))
     up = nu - k - j
     q = nu - 2 * k - j
     s = 2 * (n - m)

@@ -244,8 +244,9 @@ def _cmd_zero_modes(args) -> int:
     coeffs = zero_modes.ZeroModeCoeffs.build(args.n, ModeParams(args.alpha, args.beta))
     payload = {
         "n": coeffs.n,
-        "gamma": [_pair(g) for g in coeffs.gamma],
-        "norm_sq": coeffs.norm_sq,
+        # null beyond a double, as in chain, so stdout stays JSON
+        "gamma": [_pair(g) if cmath.isfinite(g) else None for g in coeffs.gamma],
+        "norm_sq": coeffs.norm_sq if math.isfinite(coeffs.norm_sq) else None,
     }
     with _out_stream(args.out) as fh:
         _dump_json(payload, fh)

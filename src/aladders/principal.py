@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import DomainError
 from .fock import (
@@ -44,7 +43,7 @@ from .fock import (
     inner,
 )
 from .operators import ModeParams
-from .zero_modes import _exp_or_inf
+from .zero_modes import _exp_or_inf, _log_factorials, _logsumexp
 
 
 def log_modified_binomial(n: int, k: int, t: int) -> float:
@@ -72,18 +71,15 @@ def log_pseudo_hermite(nu: int, x: float) -> float:
         raise DomainError(f"polynomial degree must be >= 0, got {nu}")
     if x < 0:
         raise DomainError(f"argument must be >= 0, got {x}")
+    return _log_hermite(nu, x, _log_factorials(nu))
+
+
+def _log_hermite(nu: int, x: float, lf: np.ndarray) -> float:
+    """log H_nu(x) for x >= 0, with lf[i] = log(i!) for i = 0..nu at least."""
     if x == 0.0:
-        if nu % 2 == 1:
-            return -math.inf
-        return math.lgamma(nu + 1) - math.lgamma(nu // 2 + 1)
+        return -math.inf if nu % 2 else float(lf[nu] - lf[nu // 2])
     k = np.arange(nu // 2 + 1)
-    terms = (
-        gammaln(nu + 1)
-        - gammaln(nu - 2 * k + 1)
-        - gammaln(k + 1)
-        + (nu - 2 * k) * math.log(2.0 * x)
-    )
-    return float(logsumexp(terms))
+    return _logsumexp(lf[nu] - lf[nu - 2 * k] - lf[k] + (nu - 2 * k) * math.log(2.0 * x))
 
 
 def pseudo_hermite(nu: int, x: float) -> float:
@@ -99,10 +95,13 @@ def principal_log_norm_sq(nu: int, p: ModeParams) -> float:
         return 0.0
     if p.alpha == 0:
         return -math.inf
+    return _log_norm_sq(nu, p, _log_factorials(nu))
+
+
+def _log_norm_sq(nu: int, p: ModeParams, lf: np.ndarray) -> float:
+    """log N_nu for alpha != 0, with lf as in _log_hermite."""
     a, b = abs(p.alpha), abs(p.beta)
-    return nu * (math.log(a) + math.log(b) - math.log(2.0)) + log_pseudo_hermite(
-        nu, a / b
-    )
+    return nu * (math.log(a) + math.log(b) - math.log(2.0)) + _log_hermite(nu, a / b, lf)
 
 
 def principal_norm_sq(nu: int, p: ModeParams) -> float:
@@ -138,15 +137,11 @@ def principal_state(nu: int, p: ModeParams) -> PrincipalState:
     if p.alpha == 0:
         raise DomainError("principal chain vanishes identically for alpha = 0")
     k = np.arange(nu // 2 + 1)
-    log_b2 = (
-        gammaln(nu + 1)
-        - gammaln(k + 1)
-        - gammaln(nu - 2 * k + 1)
-        - 2.0 * k * math.log(2.0)
-    )
+    lf = _log_factorials(nu)
+    log_b2 = lf[nu] - lf[k] - lf[nu - 2 * k] - 2.0 * k * math.log(2.0)
     log_mag = (nu - k) * math.log(abs(p.alpha)) + k * math.log(abs(p.beta)) + 0.5 * log_b2
     phase = (nu - k) * cmath.phase(p.alpha) + k * cmath.phase(p.beta)
-    log_norm = float(logsumexp(2.0 * log_mag))
+    log_norm = _logsumexp(2.0 * log_mag)
     coeffs = tuple(
         cmath.rect(math.exp(lm - 0.5 * log_norm), ph)
         for lm, ph in zip(log_mag, phase)
@@ -185,22 +180,20 @@ def uncertainty_products(nu: int, p: ModeParams) -> UncertaintyReport:
         raise DomainError(f"level must be >= 0, got {nu}")
     if nu >= 1 and p.alpha == 0:
         raise DomainError("principal chain vanishes identically for alpha = 0")
-    occ_a = 0.0
-    occ_b = 0.0
-    if nu >= 2:
-        occ_a = (
-            0.25
-            * (abs(p.alpha) * abs(p.beta)) ** 2
-            * nu
-            * (nu - 1)
-            * math.exp(principal_log_norm_sq(nu - 2, p) - principal_log_norm_sq(nu, p))
-        )
+    occ_a = occ_b = 0.0
     if nu >= 1:
-        occ_b = (
-            abs(p.alpha) ** 2
-            * nu
-            * math.exp(principal_log_norm_sq(nu - 1, p) - principal_log_norm_sq(nu, p))
-        )
+        # one log-factorial array serves N_nu, N_{nu-1} and N_{nu-2}
+        lf = _log_factorials(nu)
+        log_top = _log_norm_sq(nu, p, lf)
+        occ_b = abs(p.alpha) ** 2 * nu * math.exp(_log_norm_sq(nu - 1, p, lf) - log_top)
+        if nu >= 2:
+            occ_a = (
+                0.25
+                * (abs(p.alpha) * abs(p.beta)) ** 2
+                * nu
+                * (nu - 1)
+                * math.exp(_log_norm_sq(nu - 2, p, lf) - log_top)
+            )
     product_a = 0.25 * (1.0 + 2.0 * occ_a) ** 2
     product_b = (0.5 + occ_b) ** 2
     return UncertaintyReport(nu, product_a, product_b)

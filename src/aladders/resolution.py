@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_laguerre
 
 from .errors import ConvergenceError, DomainError
 from .fock import level_basis
@@ -52,6 +51,10 @@ class QuadratureSpec:
 
 @lru_cache(maxsize=32)
 def _laguerre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    # imported here, not at module level, so that importing the package does
+    # not load scipy: only quadrature pays for it
+    from scipy.special import roots_laguerre
+
     x, w = roots_laguerre(nodes)
     return x, w
 

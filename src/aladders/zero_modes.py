@@ -67,7 +67,7 @@ def zero_mode_coeff(n: int, j: int, p: ModeParams) -> complex:
     if not 0 <= j <= n:
         raise DomainError(f"coefficient index j must be in 0..{n}, got {j}")
     log_mag, phase = _log_coeffs(n, p)
-    return cmath.rect(math.exp(log_mag[j]), phase[j])
+    return cmath.rect(_exp_or_inf(log_mag[j]), phase[j])
 
 
 def zero_mode_coeffs_recursive(n: int, p: ModeParams) -> list[complex]:
@@ -101,9 +101,40 @@ class ZeroModeCoeffs:
     def build(cls, n: int, p: ModeParams) -> "ZeroModeCoeffs":
         n = _check_n(n)
         log_mag, phase = _log_coeffs(n, p)
-        gamma = tuple(cmath.rect(math.exp(lm), ph) for lm, ph in zip(log_mag, phase))
-        norm_sq = float(np.exp(_logsumexp(2.0 * log_mag)))
+        gamma = tuple(cmath.rect(_exp_or_inf(lm), ph) for lm, ph in zip(log_mag, phase))
+        # np.exp, not _exp_or_inf: it rounds differently from math.exp, and
+        # the printed norm_sq stays as it was; beyond a double it is inf
+        with np.errstate(over="ignore"):
+            norm_sq = float(np.exp(_logsumexp(2.0 * log_mag)))
         return cls(n=n, gamma=gamma, norm_sq=norm_sq)
+
+
+# _log_factorials keeps its table up to this many entries (512 KB); longer
+# requests compute the part beyond it per call and keep nothing.
+_LOG_FACTORIAL_CAP = 1 << 16
+_log_factorial_table = np.zeros(1)
+_log_factorial_table.flags.writeable = False
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only array of log(i!) = math.lgamma(i + 1) for i = 0..n."""
+    global _log_factorial_table
+    table = _log_factorial_table
+    if n >= table.size and table.size < _LOG_FACTORIAL_CAP:
+        size = min(max(2 * table.size, n + 1), _LOG_FACTORIAL_CAP)
+        table = np.concatenate((table, _lgammas(table.size + 1, size + 1)))
+        table.flags.writeable = False
+        _log_factorial_table = table
+    if n < table.size:
+        return table[:n + 1]
+    out = np.concatenate((table, _lgammas(table.size + 1, n + 2)))
+    out.flags.writeable = False
+    return out
+
+
+def _lgammas(start: int, stop: int) -> np.ndarray:
+    """math.lgamma(x) for x = start..stop - 1."""
+    return np.fromiter(map(math.lgamma, range(start, stop)), float, stop - start)
 
 
 def _logsumexp(logs: np.ndarray) -> float:

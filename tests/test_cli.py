@@ -71,6 +71,42 @@ def test_zero_modes_json(capsys):
     assert gam[1] == pytest.approx(-math.sqrt(2), abs=1e-12)
 
 
+# stdout of zero-modes --n 5 --alpha 1,0 --beta 0,1, which must not change
+ZERO_MODES_N5 = {
+    "gamma": [
+        [1.0, -0.0],
+        [6.454455357567322e-17, -1.0540925533894614],
+        [-0.7968190728895972, -9.758219271138068e-17],
+        [-9.257459641243328e-17, 0.5039526306789698],
+        [0.29095718698132333, 7.126395754511911e-17],
+        [5.633910523002957e-17, -0.1840174824912948],
+    ],
+    "n": 5,
+    "norm_sq": 3.118518518518524,
+}
+
+
+def test_zero_modes_bytes(capsys):
+    assert run(["zero-modes", "--n", "5", "--alpha", "1,0", "--beta", "0,1"]) == EXIT_OK
+    assert capsys.readouterr().out == json.dumps(ZERO_MODES_N5, sort_keys=True, indent=2) + "\n"
+
+
+def test_zero_modes_beyond_double(capsys):
+    # at (150, 1000) the last 6 |gamma_j| are beyond a double, and so is
+    # norm_sq; at (200, 100) every gamma_j fits and norm_sq does not
+    for n, alpha, nulls in (("150", "1000", 6), ("200", "100", 0)):
+        code = run(["zero-modes", "--n", n, "--alpha", alpha, "--beta", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert "Traceback" not in captured.err
+        data = json.loads(captured.out, parse_constant=pytest.fail)  # strict JSON
+        assert data["norm_sq"] is None
+        gamma = data["gamma"]
+        assert len(gamma) == int(n) + 1
+        assert gamma[-nulls - 1] is not None
+        assert all(g is None for g in gamma[len(gamma) - nulls:])
+
+
 def test_chain_methods_agree(capsys):
     base = ["--chain", "2", "--level", "3", "--alpha", "0.9,0.2",
             "--beta", "1.1,-0.4"]
@@ -264,12 +300,18 @@ def test_config_missing_file(capsys):
 
 
 def test_import_skips_scipy_linalg():
+    # no scipy module at all on the import path; resolution imports its
+    # quadrature nodes on first use
     code = ("import sys, aladders.cli; "
-            "print(sorted({'scipy.spatial', 'scipy.linalg'} & set(sys.modules)))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print(aladders.cli.run(['resolution', '--nu', '4']))")
     src = str(Path(aladders.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "[]"
+    lines = out.splitlines()
+    assert lines[0] == "[]"
+    assert json.loads("\n".join(lines[1:-1]))["nu"] == 4
+    assert lines[-1] == str(EXIT_OK)
 
 
 def test_selftest_passes(capsys):

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aladders.chains import ChainLabel, chain_state_closed
+from aladders.criteria import NORM_TOL
 from aladders.errors import DomainError
 from aladders.fock import FockVector, apply_momentum, apply_position, inner
 from aladders.operators import ModeParams, apply_raising
@@ -17,6 +18,7 @@ from aladders.principal import (
     PrincipalState,
     b_lowering_residual,
     binomial_ansatz_state,
+    log_modified_binomial,
     log_pseudo_hermite,
     mode_occupation,
     modified_binomial,
@@ -27,7 +29,7 @@ from aladders.principal import (
     uncertainty_direct,
     uncertainty_products,
 )
-from aladders.zero_modes import zero_mode_state
+from aladders.zero_modes import _LOG_FACTORIAL_CAP, zero_mode_state
 
 from conftest import random_params
 
@@ -108,6 +110,20 @@ def test_norm_sq_product_vs_direct_sum(rng):
                 for k in range(nu // 2 + 1)
             )
             assert principal_norm_sq(nu, p) == pytest.approx(direct, rel=1e-10)
+
+
+def test_log_norm_sq_beyond_log_factorial_cap():
+    # past the memoised log-factorial table, against a direct log-sum of
+    # the squared amplitudes |alpha|^{2(nu-k)} |beta|^{2k} binom2(nu, k)
+    for p in (P, ModeParams(1.0, 1.0)):
+        for nu in (_LOG_FACTORIAL_CAP + 4464, _LOG_FACTORIAL_CAP + 4465):
+            a, b = abs(p.alpha), abs(p.beta)
+            logs = [2 * (nu - k) * math.log(a) + 2 * k * math.log(b)
+                    + log_modified_binomial(nu, k, 2)
+                    for k in range(nu // 2 + 1)]
+            top = max(logs)
+            direct = top + math.log(math.fsum(math.exp(t - top) for t in logs))
+            assert abs(math.expm1(principal_log_norm_sq(nu, p) - direct)) <= NORM_TOL
 
 
 def test_norm_sq_is_raising_power_norm(rng):

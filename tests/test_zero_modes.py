@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from aladders import zero_modes
 from aladders.errors import DomainError
 from aladders.fock import FockVector
 from aladders.operators import ModeParams, apply_lowering
 from aladders.zero_modes import (
+    _LOG_FACTORIAL_CAP,
     ZeroModeCoeffs,
+    _log_factorials,
     level_null_space_dim,
     lowering_matrix,
     zero_mode_coeff,
@@ -85,6 +89,44 @@ def test_coeffs_container_invariants():
     assert zm.norm_sq > 0
     with pytest.raises(DomainError):
         ZeroModeCoeffs(n=1, gamma=(2.0, 0.5), norm_sq=4.25)
+
+
+def test_coeffs_beyond_double_are_inf():
+    # log|gamma_150| at |alpha/beta| = 1000 is 735.2, past a double's 709.8
+    p = ModeParams(alpha=1000.0, beta=1.0)
+    zm = ZeroModeCoeffs.build(150, p)
+    assert zm.norm_sq == math.inf
+    assert zm.gamma[:100] == tuple(zero_mode_coeff(150, j, p) for j in range(100))
+    assert cmath.isinf(zm.gamma[-1]) and cmath.isinf(zero_mode_coeff(150, 150, p))
+
+
+# ----------------------------------------------------- log-factorial table
+
+def test_log_factorials_are_lgamma(rng):
+    cap = _LOG_FACTORIAL_CAP
+    for n in (0, 7, cap - 1, cap + 2000):
+        lf = _log_factorials(n)
+        assert lf.shape == (n + 1,)
+        sampled = {0, n, *rng.integers(0, n + 1, size=20).tolist()}
+        if n >= cap:
+            sampled |= {cap - 1, cap, *rng.integers(cap, n + 1, size=20).tolist()}
+        for i in sampled:
+            assert lf[i] == math.lgamma(i + 1), i
+
+
+def test_log_factorials_are_read_only():
+    for n in (10, _LOG_FACTORIAL_CAP + 10):
+        lf = _log_factorials(n)
+        with pytest.raises(ValueError):
+            lf[1] = 0.0
+
+
+def test_log_factorial_table_stops_at_cap():
+    _log_factorials(_LOG_FACTORIAL_CAP - 1)
+    table = zero_modes._log_factorial_table
+    assert table.size == _LOG_FACTORIAL_CAP
+    assert _log_factorials(_LOG_FACTORIAL_CAP + 5000).size == _LOG_FACTORIAL_CAP + 5001
+    assert zero_modes._log_factorial_table is table
 
 
 # ------------------------------------------------------------ zero states
