@@ -76,16 +76,6 @@ def parse_complex(text: str) -> complex:
         )
 
 
-# per-destination converters used when a config file supplies the value
-_CONVERTERS = {
-    "n": int, "chain": int, "level": int, "nu": int, "nu_max": int,
-    "row": int, "nodes": int, "nx": int, "ny": int,
-    "alpha": parse_complex, "beta": parse_complex,
-    "xmin": float, "xmax": float, "ymin": float, "ymax": float,
-    "drop_tol": float, "format": str, "out": str, "method": str,
-}
-
-
 def _load_config(path: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
     try:
@@ -103,24 +93,20 @@ def _load_config(path: str) -> dict[str, str]:
     return pairs
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
+def _apply_config(parser: _Parser, args: argparse.Namespace,
+                  argv: list[str]) -> argparse.Namespace:
+    """Parse again with the config file's pairs as flags ahead of argv, so
+    they pass the same types and choices and the explicit flags win."""
     if not getattr(args, "config", None):
-        return
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=", 1)[0].replace("-", "_"))
+        return args
+    flags = []
     for key, raw in _load_config(args.config).items():
-        if key in ("config",):
+        if key == "config":
             continue
-        if key not in _CONVERTERS or not hasattr(args, key):
+        if key == "command" or not hasattr(args, key):
             raise _UsageError(f"config key {key!r} does not match a flag")
-        if key in explicit:
-            continue
-        try:
-            setattr(args, key, _CONVERTERS[key](raw))
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise _UsageError(f"config key {key!r}: {exc}")
+        flags.append(f"--{key.replace('_', '-')}={raw}")
+    return parser.parse_args([args.command, *flags, *argv[1:]])
 
 
 @contextlib.contextmanager
@@ -394,7 +380,7 @@ def run(argv: list[str]) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        _apply_config(args, argv)
+        args = _apply_config(parser, args, argv)
         _check_required(args)
         tol = getattr(args, "drop_tol", None)
         with fock.drop_tolerance(tol) if tol is not None else contextlib.nullcontext():

@@ -13,7 +13,9 @@ radial integrals of the closed forms
 
 The radial factors are evaluated here by Gauss-Laguerre quadrature after
 substituting away the measure's 1/|alpha|^{nu+1}, which cancels against the
-squared amplitudes so no singular integrand ever appears.
+squared amplitudes so no singular integrand ever appears.  Every rule sum
+sum_i w_i x_i^p is taken in log space, as a log-sum-exp of log w + p log x,
+so no power of a node overflows at deep levels or large node counts.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .fock import level_basis
-from .principal import log_modified_binomial
+from .zero_modes import _exp_or_inf, _log_factorials, _logsumexp
 
 # Doubling the node count must move no reported entry by more than this.
 CONVERGENCE_TOL = 1e-6
@@ -40,23 +41,37 @@ class QuadratureSpec:
 
     radial_nodes_alpha: int = 64
     radial_nodes_beta: int = 64
-    scheme: str = "gauss-laguerre"
 
     def __post_init__(self):
         if self.radial_nodes_alpha < MIN_NODES or self.radial_nodes_beta < MIN_NODES:
             raise DomainError(f"need at least {MIN_NODES} nodes per radial integral")
-        if self.scheme != "gauss-laguerre":
-            raise DomainError(f"unsupported scheme {self.scheme!r}")
 
 
-@lru_cache(maxsize=32)
-def _laguerre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+# One `sweeps` benchmark round draws node counts from 64..128, and the
+# node-doubling check also asks for their doubles: 129 rules.  256 holds them
+# all, so none is recomputed (about 1 ms each); 256 rules of up to 363 nodes,
+# the most for which roots_laguerre gives finite weights, take at most 1.5 MB.
+_RULE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _log_laguerre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log x, log w) of the nodes-point Gauss-Laguerre rule; a weight that
+    underflowed to 0 is -inf."""
     # imported here, not at module level, so that importing the package does
     # not load scipy: only quadrature pays for it
     from scipy.special import roots_laguerre
 
     x, w = roots_laguerre(nodes)
-    return x, w
+    with np.errstate(divide="ignore"):
+        return np.log(x), np.log(w)
+
+
+def _log_moments(nodes: int, powers):
+    """log sum_i w_i x_i^p, the nodes-point rule for int_0^inf x^p e^-x dx,
+    for each p in powers: a float for one power, an array for an array."""
+    log_x, log_w = _log_laguerre(nodes)
+    return _logsumexp(log_w + np.multiply.outer(powers, log_x))
 
 
 def measure_weight(nu: int, a_mag: float, b_mag: float) -> float:
@@ -90,8 +105,7 @@ def gaussian_moment_quad(k: int, c: float, nodes: int = 64) -> float:
     """Same moment via Gauss-Laguerre after u = c x^2 (self-test path)."""
     if k < 0 or c <= 0.0:
         raise DomainError("need k >= 0 and c > 0")
-    x, w = _laguerre(nodes)
-    return float(np.dot(w, x**k)) * math.exp(-math.log(2.0) - (k + 1) * math.log(c))
+    return _exp_or_inf(_log_moments(nodes, k) - math.log(2.0) - (k + 1) * math.log(c))
 
 
 def exponential_moment(n: int, d: float) -> float:
@@ -107,8 +121,7 @@ def exponential_moment_quad(n: int, d: float, nodes: int = 64) -> float:
     """Same moment via Gauss-Laguerre after u = d x (self-test path)."""
     if n < 0 or d <= 0.0:
         raise DomainError("need n >= 0 and d > 0")
-    x, w = _laguerre(nodes)
-    return float(np.dot(w, x**n)) * math.exp(-(n + 1) * math.log(d))
+    return _exp_or_inf(_log_moments(nodes, n) - (n + 1) * math.log(d))
 
 
 def _identity_diag(nu: int, nodes_a: int, nodes_b: int) -> np.ndarray:
@@ -117,27 +130,17 @@ def _identity_diag(nu: int, nodes_a: int, nodes_b: int) -> np.ndarray:
     After the angular reduction and the substitutions u = |alpha| and
     t = |beta|^2/4, entry k becomes
 
-        binom2(nu, k)/nu! * int u^{nu-2k} e^-u du * 4^k int t^k e^-t dt,
+        binom2(nu, k)/nu! * int u^{nu-2k} e^-u du * 4^k int t^k e^-t dt
+          = int u^{nu-2k} e^-u du / (nu-2k)! * int t^k e^-t dt / k!,
 
     a polynomial integrand in both variables: the measure's 1/u^{nu+1} has
     already cancelled against the squared state amplitudes, so Gauss-Laguerre
     integrates it exactly once the node count passes the polynomial degree.
     """
-    xa, wa = _laguerre(nodes_a)
-    xb, wb = _laguerre(nodes_b)
-    out = np.empty(nu // 2 + 1)
-    for k in range(nu // 2 + 1):
-        int_a = float(np.dot(wa, xa ** (nu - 2 * k)))
-        int_b = float(np.dot(wb, xb**k))
-        log_val = (
-            log_modified_binomial(nu, k, 2)
-            - math.lgamma(nu + 1)
-            + math.log(int_a)
-            + k * math.log(4.0)
-            + math.log(int_b)
-        )
-        out[k] = math.exp(log_val)
-    return out
+    k = np.arange(nu // 2 + 1)
+    lf = _log_factorials(nu)
+    return np.exp(_log_moments(nodes_a, nu - 2 * k) - lf[nu - 2 * k]
+                  + _log_moments(nodes_b, k) - lf[k])
 
 
 def subspace_identity_matrix(
@@ -165,18 +168,11 @@ def fullspace_identity_check(
     nu_max: int, quad: QuadratureSpec = QuadratureSpec()
 ) -> float:
     """Max |entry - 1| of the summed level projectors on kets with
-    2n + m <= nu_max.  Each ket sits in exactly one level, so the sum acts
-    diagonally and the deviation is per-ket."""
+    2n + m <= nu_max.  Each ket sits in exactly one level, so the sum on it
+    is that level's diagonal entry."""
     if nu_max < 0:
         raise DomainError(f"level cutoff must be >= 0, got {nu_max}")
-    acc: dict[tuple[int, int], float] = {}
-    for nu in range(nu_max + 1):
-        mat = subspace_identity_matrix(nu, quad)
-        diag = np.real(np.diag(mat))
-        for k, ket in enumerate(level_basis(nu)):
-            acc[ket] = acc.get(ket, 0.0) + float(diag[k])
-    worst = 0.0
-    for n in range(nu_max // 2 + 1):
-        for m in range(nu_max - 2 * n + 1):
-            worst = max(worst, abs(acc.get((n, m), 0.0) - 1.0))
-    return worst
+    return max(
+        float(np.max(np.abs(np.diag(subspace_identity_matrix(nu, quad)).real - 1.0)))
+        for nu in range(nu_max + 1)
+    )

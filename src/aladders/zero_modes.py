@@ -17,8 +17,9 @@ or by the equivalent closed form
               * sqrt((2(n-j))! / (j! (2n)!)).
 
 The closed form is evaluated in log space (log-gamma differences,
-exponentiated once per coefficient) so it stays accurate for n up to ~50;
-the recursion is kept as an independent oracle.
+exponentiated once per coefficient), so no intermediate overflows at any n;
+a coefficient or norm beyond a double comes out as inf.  The recursion is
+kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -137,13 +138,22 @@ def _lgammas(start: int, stop: int) -> np.ndarray:
     return np.fromiter(map(math.lgamma, range(start, stop)), float, stop - start)
 
 
-def _logsumexp(logs: np.ndarray) -> float:
+def _logsumexp(logs: np.ndarray):
+    """log sum exp(logs) over the last axis, -inf where every term is -inf:
+    a float for 1-D input, an array over the leading axes otherwise."""
     logs = np.asarray(logs, dtype=float)
+    if logs.ndim > 1:
+        top = logs.max(axis=-1, keepdims=True)
+        top[top == -math.inf] = 0.0
+        with np.errstate(divide="ignore"):
+            return top[..., 0] + np.log(np.exp(logs - top).sum(axis=-1))
     if logs.size == 0:
         return -math.inf
     top = float(np.max(logs))
     if top == -math.inf:
         return -math.inf
+    # math.log, not np.log: they round differently, and 1-D sums reach
+    # printed output
     return top + math.log(float(np.sum(np.exp(logs - top))))
 
 

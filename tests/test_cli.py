@@ -260,9 +260,18 @@ def test_convergence_error_exit(capsys):
     code = run(["resolution", "--nu", "40", "--nodes", "8"])
     assert code == EXIT_CONVERGENCE
     assert "convergence" in capsys.readouterr().err
-    # overflowed quadrature nodes give a NaN drift, which must fail as well
-    assert run(["resolution", "--nu", "150", "--nodes", "128"]) == EXIT_CONVERGENCE
+    # from 364 nodes roots_laguerre returns NaN, so the doubled rule of 182
+    # nodes gives a NaN drift, which must fail as well
+    assert run(["resolution", "--nu", "150", "--nodes", "182"]) == EXIT_CONVERGENCE
     assert "convergence" in capsys.readouterr().err
+
+
+def test_resolution_deep_level_many_nodes(capsys):
+    # x**nu of the largest nodes is beyond a double here; the rule is summed
+    # in log space, so the level is served
+    data = run_json(capsys, ["resolution", "--nu", "150", "--nodes", "128"])
+    assert len(data["diagonal"]) == 76
+    assert data["max_deviation"] <= 1e-8
 
 
 def test_ill_conditioned_exit(capsys):
@@ -290,6 +299,28 @@ def test_config_unknown_key(tmp_path, capsys):
                 "--alpha", "1", "--beta", "1"])
     assert code == EXIT_USAGE
     assert "bogus" in capsys.readouterr().err
+
+
+def test_config_values_pass_the_flag_choices(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method = garbage\n")
+    code = run(["chain", "--config", str(cfg), "--chain", "0", "--level", "2",
+                "--alpha", "1", "--beta", "1"])
+    assert code == EXIT_USAGE
+    assert "garbage" in capsys.readouterr().err
+    cfg.write_text("format = xyz\n")
+    code = run(["density", "--config", str(cfg), "--level", "2", "--alpha", "1",
+                "--beta", "1", "--nx", "4", "--ny", "4"])
+    assert code == EXIT_USAGE
+    assert "xyz" in capsys.readouterr().err
+
+
+def test_config_loses_to_abbreviated_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("level = 5\n")
+    data = run_json(capsys, ["chain", "--config", str(cfg), "--chain", "0",
+                             "--lev", "3", "--alpha", "1", "--beta", "1"])
+    assert data["level"] == 3
 
 
 def test_config_missing_file(capsys):

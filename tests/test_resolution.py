@@ -6,12 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_laguerre
 
 from aladders.errors import ConvergenceError, DomainError
 from aladders.operators import ModeParams
 from aladders.principal import modified_binomial, principal_norm_sq
 from aladders.resolution import (
     QuadratureSpec,
+    _log_moments,
     exponential_moment,
     exponential_moment_quad,
     fullspace_identity_check,
@@ -50,6 +52,20 @@ def test_moment_quadrature_matches_closed_form():
             want = exponential_moment(n, d)
             got = exponential_moment_quad(n, d)
             assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_log_moments_match_the_linear_rule_sum():
+    # the linear sum w . x**p is the reference wherever it is finite
+    for nodes in (8, 16, 33, 64, 100, 128, 160):
+        x, w = roots_laguerre(nodes)
+        powers = np.arange(151)
+        logs = _log_moments(nodes, powers)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = np.array([np.dot(w, x ** p) for p in powers])
+        finite = np.isfinite(ref)
+        assert finite[:100].all()
+        assert np.allclose(np.exp(logs[finite]), ref[finite], rtol=1e-12, atol=0)
+        assert _log_moments(nodes, 7) == pytest.approx(logs[7], rel=1e-14)
 
 
 def test_moment_domain_errors():
@@ -137,9 +153,17 @@ def test_subspace_identity_node_starvation_detected():
     # flag non-convergence instead of returning a wrong matrix
     with pytest.raises(ConvergenceError):
         subspace_identity_matrix(40, QuadratureSpec(8, 8))
-    # nodes so large that x**nu overflows: the NaN drift must not pass
+    # from 364 nodes roots_laguerre returns NaN: the NaN drift of the
+    # doubled 182-node rule must not pass
     with pytest.raises(ConvergenceError):
-        subspace_identity_matrix(150, QuadratureSpec(128, 128))
+        subspace_identity_matrix(150, QuadratureSpec(182, 182))
+
+
+def test_subspace_identity_where_node_powers_overflow():
+    # x**nu of the largest nodes is beyond a double at these sizes
+    for nu, nodes in ((150, 128), (200, 128), (100, 156), (300, 180)):
+        mat = subspace_identity_matrix(nu, QuadratureSpec(nodes, nodes))
+        assert np.max(np.abs(np.diag(mat) - 1.0)) < 1e-8
 
 
 def test_quadrature_spec_validation():
@@ -147,8 +171,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(radial_nodes_alpha=4)
     with pytest.raises(DomainError):
         QuadratureSpec(radial_nodes_beta=0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(scheme="monte-carlo")
 
 
 # --------------------------------------------------- full-space identity
