@@ -60,6 +60,7 @@ from .resolution import (
     gaussian_moment,
     gaussian_moment_quad,
     measure_weight,
+    subspace_identity,
     subspace_identity_matrix,
 )
 from .position import (

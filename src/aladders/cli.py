@@ -17,8 +17,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import chains, fock, position, principal, resolution, zero_modes
 from .errors import ConvergenceError, DomainError, IllConditionedError
 from .operators import ModeParams
@@ -306,8 +304,7 @@ def _cmd_uncertainty(args) -> int:
 
 def _cmd_resolution(args) -> int:
     quad = resolution.QuadratureSpec(args.nodes, args.nodes)
-    mat = resolution.subspace_identity_matrix(args.nu, quad)
-    diag = [float(z.real) for z in np.diag(mat)]
+    diag = resolution.subspace_identity(args.nu, quad).tolist()
     payload = {
         "nu": args.nu,
         "nodes": [quad.radial_nodes_alpha, quad.radial_nodes_beta],

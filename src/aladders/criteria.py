@@ -315,10 +315,8 @@ IDENTITY_TOL = 1e-8
 def identity_deviations(nu_max: int, full_max: int) -> tuple[float, float]:
     """Max deviation from the identity of each level subspace nu <= nu_max,
     and of the full space truncated at 2n + m <= full_max."""
-    worst_sub = 0.0
-    for nu in range(nu_max + 1):
-        mat = resolution.subspace_identity_matrix(nu)
-        worst_sub = max(worst_sub, float(np.max(np.abs(mat - np.eye(nu // 2 + 1)))))
+    worst_sub = max(float(np.max(np.abs(resolution.subspace_identity(nu) - 1.0)))
+                    for nu in range(nu_max + 1))
     return worst_sub, resolution.fullspace_identity_check(full_max)
 
 

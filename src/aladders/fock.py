@@ -14,7 +14,6 @@ serialized output stable.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 from contextvars import ContextVar
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -176,20 +175,6 @@ class FockVector:
             {"n": n, "m": m, "re": v.real, "im": v.imag}
             for (n, m), v in self._amp.items()
         ]
-
-    @classmethod
-    def from_records(cls, records: Iterable[Mapping]) -> "FockVector":
-        return cls(
-            ((int(r["n"]), int(r["m"])), complex(float(r["re"]), float(r["im"])))
-            for r in records
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_records())
-
-    @classmethod
-    def from_json(cls, text: str) -> "FockVector":
-        return cls.from_records(json.loads(text))
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{k}: {v:.6g}" for k, v in self._amp.items())

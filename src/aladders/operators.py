@@ -9,6 +9,7 @@ the pair is not canonical.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -18,7 +19,8 @@ from .fock import FockVector, a_minus, a_plus, b_minus, b_plus
 @dataclass(frozen=True)
 class ModeParams:
     """Mixing parameters (alpha, beta); beta = 0 is rejected because the
-    zero-mode closed forms divide by conj(beta)."""
+    zero-mode closed forms divide by conj(beta), and a non-finite alpha or
+    beta because no state is defined there."""
 
     alpha: complex
     beta: complex
@@ -26,6 +28,9 @@ class ModeParams:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not cmath.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.beta == 0:
             raise DomainError("beta must be nonzero")
 

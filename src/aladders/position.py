@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import BinaryIO, Callable, TextIO
 
 import numpy as np
@@ -66,7 +66,7 @@ class Grid2D:
         return np.linspace(self.y_min, self.y_max, self.ny)
 
     def geometry(self) -> "Grid2D":
-        return Grid2D(self.x_min, self.x_max, self.y_min, self.y_max, self.nx, self.ny)
+        return replace(self, values=None)
 
     def integral(self) -> float:
         """Trapezoid integral of the values over the rectangle."""
@@ -118,31 +118,24 @@ def amplitude_grid(v: FockVector, geom: Grid2D = DEFAULT_DENSITY_GEOMETRY) -> Gr
     """<x, y | v> sampled on the grid (complex values)."""
     if not v:
         raise DomainError("cannot sample the zero vector")
-    n_max = max(n for n, _ in v)
-    m_max = max(m for _, m in v)
+    kets, amps = zip(*v.items())
+    ns, ms = np.array(kets).T
+    n_max, m_max = int(ns.max()), int(ms.max())
     if n_max > RECURRENCE_MAX or m_max > RECURRENCE_MAX:
         raise DomainError(
             f"support reaches ({n_max}, {m_max}); quantum numbers beyond "
             f"{RECURRENCE_MAX} are outside the recurrence stability cap"
         )
-    xs = geom.xs()
-    ys = geom.ys()
-    fast = eigenfunction_table(n_max, 2.0, xs)
-    slow = eigenfunction_table(m_max, 1.0, ys)
-    weights = np.zeros((n_max + 1, m_max + 1), dtype=complex)
-    for (n, m), amp in v.items():
-        weights[n, m] = amp
-    # (m_max+1, ny) -> (n_max+1, ny)
-    right = weights @ slow.astype(complex)
-    out = fast.T @ right
-    return Grid2D(geom.x_min, geom.x_max, geom.y_min, geom.y_max, geom.nx, geom.ny, out)
+    fast = eigenfunction_table(n_max, 2.0, geom.xs())
+    slow = eigenfunction_table(m_max, 1.0, geom.ys())
+    # sum over kets of amp * psi_n(x) psi_m(y): one row of each table per ket
+    return replace(geom, values=fast[ns].T @ (np.array(amps)[:, None] * slow[ms]))
 
 
 def density_grid(v: FockVector, geom: Grid2D = DEFAULT_DENSITY_GEOMETRY) -> Grid2D:
     """|<x, y | v>|^2 on the grid; grid.integral() gives the covered mass."""
     amp = amplitude_grid(v, geom)
-    dens = (amp.values.real**2 + amp.values.imag**2)
-    return Grid2D(geom.x_min, geom.x_max, geom.y_min, geom.y_max, geom.nx, geom.ny, dens)
+    return replace(geom, values=amp.values.real**2 + amp.values.imag**2)
 
 
 def write_grid_csv(grid: Grid2D, fh: TextIO) -> None:
@@ -240,11 +233,7 @@ def _tube_fractions(
         tree = cKDTree(lissajous_curve(amp_x, amp_y, phase, samples))
         dist, _ = tree.query(points, k=1, distance_upper_bound=bound)
         inside = (dist <= radius).reshape(grid.nx, grid.ny)
-        masked = Grid2D(
-            grid.x_min, grid.x_max, grid.y_min, grid.y_max,
-            grid.nx, grid.ny, grid.values * inside,
-        )
-        return masked.integral() / total
+        return replace(grid, values=grid.values * inside).integral() / total
 
     return fraction
 
@@ -310,6 +299,4 @@ def l1_distance(g1: Grid2D, g2: Grid2D) -> float:
     if m1 <= 0 or m2 <= 0:
         raise DomainError("grids must carry positive mass")
     diff = np.abs(g1.values / m1 - g2.values / m2)
-    return 0.5 * Grid2D(
-        g1.x_min, g1.x_max, g1.y_min, g1.y_max, g1.nx, g1.ny, diff
-    ).integral()
+    return 0.5 * replace(g1, values=diff).integral()

@@ -49,14 +49,8 @@ def _log_coeffs(n: int, p: ModeParams) -> tuple[np.ndarray, np.ndarray]:
     """
     ratio = -2.0 * p.alpha.conjugate() / p.beta.conjugate()
     j = np.arange(n + 1)
-    lg = math.lgamma
-    body = np.array(
-        [
-            lg(n + 1) - lg(n - jj + 1)
-            + 0.5 * (lg(2 * (n - jj) + 1) - lg(jj + 1) - lg(2 * n + 1))
-            for jj in range(n + 1)
-        ]
-    )
+    lf = _log_factorials(2 * n)
+    body = lf[n] - lf[n - j] + 0.5 * (lf[2 * (n - j)] - lf[j] - lf[2 * n])
     if ratio == 0:
         return np.where(j == 0, body, -np.inf), np.zeros(n + 1)
     return j * math.log(abs(ratio)) + body, j * cmath.phase(ratio)
@@ -149,12 +143,12 @@ def _logsumexp(logs: np.ndarray):
             return top[..., 0] + np.log(np.exp(logs - top).sum(axis=-1))
     if logs.size == 0:
         return -math.inf
-    top = float(np.max(logs))
+    top = float(logs.max())
     if top == -math.inf:
         return -math.inf
     # math.log, not np.log: they round differently, and 1-D sums reach
     # printed output
-    return top + math.log(float(np.sum(np.exp(logs - top))))
+    return top + math.log(float(np.exp(logs - top).sum()))
 
 
 def _exp_or_inf(log_value: float) -> float:

@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import aladders
+from aladders import resolution
 from aladders.cli import (
     EXIT_CONVERGENCE,
     EXIT_DOMAIN,
@@ -264,6 +266,62 @@ def test_convergence_error_exit(capsys):
     # nodes gives a NaN drift, which must fail as well
     assert run(["resolution", "--nu", "150", "--nodes", "182"]) == EXIT_CONVERGENCE
     assert "convergence" in capsys.readouterr().err
+
+
+def test_convergence_error_without_scipy_warnings(capsys):
+    # scipy's 364-node rule overflows inside roots_laguerre; the gate refuses
+    # it, and stderr carries only the refusal
+    resolution._log_laguerre.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["resolution", "--nu", "150", "--nodes", "182"]) == EXIT_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("convergence error:") and err.count("\n") == 1
+
+
+def test_resolution_underflowed_rules_refused(capsys):
+    # both rules underflow to about 1e-25 here, so an absolute drift gate
+    # passed them with max_deviation 1.0; the relative gate refuses them
+    assert run(["resolution", "--nu", "2000", "--nodes", "64"]) == EXIT_CONVERGENCE
+    assert "convergence" in capsys.readouterr().err
+
+
+def test_resolution_huge_level_refused_in_linear_memory():
+    # both rules underflow to exactly 0 at this level (a 0/0 drift); the
+    # refusal must come from the gate, with memory linear in the level: a
+    # dense 50001 x 50001 matrix would need tens of GB, beyond the 4 GB
+    # address-space cap set on the child here
+    def cap_memory():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    src = str(Path(aladders.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "aladders.cli", "resolution", "--nu", "100000",
+         "--nodes", "64"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        preexec_fn=cap_memory, timeout=120,
+    )
+    assert proc.returncode == EXIT_CONVERGENCE, proc.stderr
+    assert proc.stderr.startswith("convergence error:")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "--chain", "0", "--level", "3", "--alpha", "nan", "--beta", "1"],
+    ["gram", "--row", "4", "--alpha", "nan", "--beta", "1"],
+    ["lower", "--chain", "0", "--level", "3", "--alpha", "nan", "--beta", "1"],
+    ["uncertainty", "--nu-max", "3", "--alpha", "nan", "--beta", "1"],
+    ["zero-modes", "--n", "2", "--alpha", "inf", "--beta", "1"],
+    ["density", "--level", "4", "--alpha", "nan", "--beta", "1"],
+])
+def test_non_finite_parameters_refused(argv, capsys):
+    # at one time these raised IndexError, printed nan, or blamed gamma_0 or
+    # the zero vector; each is now refused where ModeParams is built
+    assert run(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: alpha must be finite")
 
 
 def test_resolution_deep_level_many_nodes(capsys):

@@ -41,6 +41,15 @@ def test_params_allow_zero_alpha():
     assert ModeParams(alpha=0.0, beta=1.0).alpha == 0.0
 
 
+@pytest.mark.parametrize("alpha, beta, name", [
+    (math.nan, 1.0, "alpha"), (complex(1.0, math.inf), 1.0, "alpha"),
+    (1.0, -math.inf, "beta"), (1.0, complex(math.nan, 1.0), "beta"),
+])
+def test_params_reject_non_finite(alpha, beta, name):
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        ModeParams(alpha=alpha, beta=beta)
+
+
 # --------------------------------------------------------------- raising
 
 def test_raising_on_vacuum():

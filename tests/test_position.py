@@ -126,6 +126,22 @@ def test_amplitude_grid_matches_direct_evaluation():
             assert grid.values[ix, iy] == pytest.approx(want, abs=1e-12)
 
 
+def test_amplitude_grid_matches_dense_weight_product(rng):
+    # the (n_max+1) x (m_max+1) weight-matrix product the row gather replaced;
+    # a multi-level vector with gaps, so the sums run in a different order
+    v = FockVector({(int(rng.integers(0, 12)), int(rng.integers(0, 25))):
+                    complex(*rng.normal(size=2)) for _ in range(30)})
+    geom = Grid2D(-5, 5, -7, 7, 40, 50)
+    n_max, m_max = max(n for n, _ in v), max(m for _, m in v)
+    weights = np.zeros((n_max + 1, m_max + 1), dtype=complex)
+    for (n, m), amp in v.items():
+        weights[n, m] = amp
+    want = (eigenfunction_table(n_max, 2.0, geom.xs()).T
+            @ weights @ eigenfunction_table(m_max, 1.0, geom.ys()))
+    got = amplitude_grid(v, geom).values
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------- serialization
 
 def make_grid(rng) -> Grid2D:

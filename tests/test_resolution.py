@@ -20,6 +20,7 @@ from aladders.resolution import (
     gaussian_moment,
     gaussian_moment_quad,
     measure_weight,
+    subspace_identity,
     subspace_identity_matrix,
 )
 
@@ -125,10 +126,17 @@ def test_subspace_identity_level_zero():
 
 def test_subspace_identity_levels_up_to_eight():
     for nu in range(9):
+        diag = subspace_identity(nu)
+        assert diag.shape == (nu // 2 + 1,) and diag.dtype == float
+        assert np.max(np.abs(diag - 1.0)) < 1e-8
+
+
+def test_subspace_identity_matrix_is_its_diagonal():
+    for nu in (0, 5, 40):
+        diag = subspace_identity(nu)
         mat = subspace_identity_matrix(nu)
-        dim = nu // 2 + 1
-        assert mat.shape == (dim, dim)
-        assert np.max(np.abs(mat - np.eye(dim))) < 1e-8
+        assert mat.dtype == complex
+        assert np.array_equal(mat, np.diag(diag))
 
 
 def test_subspace_identity_off_diagonals_are_exact_zeros():
@@ -144,26 +152,33 @@ def test_subspace_identity_converged_at_min_nodes():
     # allowed node count is fully converged for small levels
     for nodes in (8, 16, 64):
         quad = QuadratureSpec(radial_nodes_alpha=nodes, radial_nodes_beta=nodes)
-        mat = subspace_identity_matrix(3, quad)
-        assert np.max(np.abs(mat - np.eye(2))) < 1e-10
+        assert np.max(np.abs(subspace_identity(3, quad) - 1.0)) < 1e-10
 
 
 def test_subspace_identity_node_starvation_detected():
     # far too few nodes for a deep level: the coarse/fine comparison must
-    # flag non-convergence instead of returning a wrong matrix
+    # flag non-convergence instead of returning a wrong diagonal
     with pytest.raises(ConvergenceError):
-        subspace_identity_matrix(40, QuadratureSpec(8, 8))
+        subspace_identity(40, QuadratureSpec(8, 8))
     # from 364 nodes roots_laguerre returns NaN: the NaN drift of the
     # doubled 182-node rule must not pass
     with pytest.raises(ConvergenceError):
-        subspace_identity_matrix(150, QuadratureSpec(182, 182))
+        subspace_identity(150, QuadratureSpec(182, 182))
 
 
 def test_subspace_identity_where_node_powers_overflow():
     # x**nu of the largest nodes is beyond a double at these sizes
     for nu, nodes in ((150, 128), (200, 128), (100, 156), (300, 180)):
-        mat = subspace_identity_matrix(nu, QuadratureSpec(nodes, nodes))
-        assert np.max(np.abs(np.diag(mat) - 1.0)) < 1e-8
+        diag = subspace_identity(nu, QuadratureSpec(nodes, nodes))
+        assert np.max(np.abs(diag - 1.0)) < 1e-8
+
+
+def test_drift_gate_is_relative():
+    # both rules underflow far below 1 at this level: their absolute
+    # difference (about 3e-25) is tiny, but the entries are wrong, and the
+    # relative drift (or 0/0 where both are exactly 0) refuses them
+    with pytest.raises(ConvergenceError):
+        subspace_identity(2000, QuadratureSpec(64, 64))
 
 
 def test_quadrature_spec_validation():
@@ -184,13 +199,12 @@ def test_fullspace_identity_truncation():
 
 
 def test_identity_diag_ties_to_expansion_weights():
-    # diagonal entry k of the level-nu matrix equals the measure-weighted
+    # diagonal entry k of level nu equals the measure-weighted
     # radial integral of nu! N_nu  x  (normalized squared coefficient k);
     # summing the diagonal against the coefficient weights gives back the
     # total squared norm share, which the identity forces to 1 per ket
-    mat = subspace_identity_matrix(4)
     p = ModeParams(alpha=1.0, beta=1.0)
-    assert np.allclose(np.diag(mat), 1.0, atol=1e-9)
+    assert np.allclose(subspace_identity(4), 1.0, atol=1e-9)
     weights = [
         modified_binomial(4, k, 2) * abs(p.alpha) ** (2 * (4 - k))
         * abs(p.beta) ** (2 * k) / principal_norm_sq(4, p)

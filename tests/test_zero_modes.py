@@ -114,6 +114,24 @@ def test_log_factorials_are_lgamma(rng):
             assert lf[i] == math.lgamma(i + 1), i
 
 
+def test_log_coeffs_read_the_log_factorial_table():
+    # the per-j lgamma sum the table replaced, as the exact reference
+    lg = math.lgamma
+    for n in (0, 1, 59, 200, _LOG_FACTORIAL_CAP // 2 + 100):
+        for p in (P, ModeParams(alpha=0.0, beta=1.0)):
+            log_mag, _phase = zero_modes._log_coeffs(n, p)
+            body = np.array([
+                lg(n + 1) - lg(n - j + 1)
+                + 0.5 * (lg(2 * (n - j) + 1) - lg(j + 1) - lg(2 * n + 1))
+                for j in range(n + 1)
+            ])
+            if p.alpha == 0:
+                assert log_mag[0] == body[0] and np.all(log_mag[1:] == -np.inf)
+            else:
+                ratio = abs(-2.0 * p.alpha.conjugate() / p.beta.conjugate())
+                assert np.array_equal(log_mag, np.arange(n + 1) * math.log(ratio) + body)
+
+
 def test_log_factorials_are_read_only():
     for n in (10, _LOG_FACTORIAL_CAP + 10):
         lf = _log_factorials(n)
