@@ -18,7 +18,6 @@ import sys
 from aladders.chains import (
     gram_condition,
     ladder_factor,
-    lowering_decomposition,
     lowering_residual,
     row_labels,
 )
@@ -47,8 +46,7 @@ def main(argv=None) -> int:
                     continue
                 factor = ladder_factor(label, p)
                 try:
-                    terms = lowering_decomposition(label, p)
-                    res = lowering_residual(label, p, terms)
+                    res = lowering_residual(label, p)
                     res_txt = f"{res:.3e}"
                 except IllConditionedError as exc:
                     res_txt = f"refused (condition {exc.condition:.2e})"

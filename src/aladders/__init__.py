@@ -21,7 +21,6 @@ from .zero_modes import (
     ZeroModeCoeffs,
     level_null_space_dim,
     lowering_matrix,
-    zero_mode_coeff,
     zero_mode_coeffs_recursive,
     zero_mode_state,
 )
@@ -37,7 +36,6 @@ from .chains import (
     lowering_decomposition,
     lowering_residual,
     row_labels,
-    row_states,
 )
 from .principal import (
     PrincipalState,
@@ -69,7 +67,6 @@ from .position import (
     best_tube_phase,
     density_grid,
     eigenfunction_table,
-    ho_eigenfunction,
     l1_distance,
     lissajous_amplitudes,
     lissajous_curve,

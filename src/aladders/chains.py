@@ -248,10 +248,6 @@ def row_labels(row: int) -> list[ChainLabel]:
     return [ChainLabel(2 * k, row - 2 * k) for k in range(row // 2 + 1)]
 
 
-def row_states(row: int, p: ModeParams) -> list[ChainState]:
-    return [chain_state_closed(label, p) for label in row_labels(row)]
-
-
 def gram_matrix(row: int, p: ModeParams) -> np.ndarray:
     """Overlap matrix of the chain states meeting at one level.
 
@@ -264,8 +260,12 @@ def gram_matrix(row: int, p: ModeParams) -> np.ndarray:
 
 def _cond_sq(s: np.ndarray) -> float:
     """cond(C)^2, the Gram matrix's condition, from C's singular values in
-    descending order; inf when C is singular."""
-    return float((s[0] / s[-1]) ** 2) if s[-1] > 0 else math.inf
+    descending order; inf when C is singular or the square is beyond a
+    double."""
+    if not s[-1] > 0:
+        return math.inf
+    with np.errstate(over="ignore"):
+        return float((s[0] / s[-1]) ** 2)
 
 
 def gram_condition(row: int, p: ModeParams) -> float:
@@ -306,15 +306,14 @@ def _lower_level(amps: np.ndarray, level: int, p: ModeParams) -> np.ndarray:
 
 
 def _lowering(
-    label: ChainLabel, p: ModeParams,
-    terms: list[tuple[ChainLabel, complex]] | None = None,
+    label: ChainLabel, p: ModeParams
 ) -> tuple[list[tuple[ChainLabel, complex]], float]:
     """(terms, residual) of A- |label> over the row below, from one build of
     the lowered state t and of the row matrix C.
 
-    Without terms, x solves C x = t through one SVD of C, refused when the
-    Gram condition cond(C)^2 exceeds COND_LIMIT.  Given terms are scored as
-    they are.  The residual is ||t - C x|| / ||t||, 0 when t vanishes.
+    x solves C x = t through one SVD of C, refused when the Gram condition
+    cond(C)^2 exceeds COND_LIMIT.  The residual is ||t - C x|| / ||t||, 0
+    when t vanishes.
     """
     if label.level < 1:
         raise DomainError("lowering decomposition needs level >= 1")
@@ -322,24 +321,16 @@ def _lowering(
     target = _lower_level(_level_block([label], p)[0][:, 0], level, p)
     labels = row_labels(level - 1)
     c, _ = _level_block(labels, p)
-    if terms is None:
-        u, s, vh = np.linalg.svd(c)
-        cond_sq = _cond_sq(s)
-        if not cond_sq <= COND_LIMIT:
-            raise IllConditionedError(
-                f"Gram condition cond(C)^2 = {cond_sq:.3e} exceeds {COND_LIMIT:.0e}", cond_sq
-            )
-        x = vh.conj().T @ ((u.conj().T @ target) / s)
-        terms = [(lab, complex(z)) for lab, z in zip(labels, x)]
-    else:
-        x = np.zeros(len(labels), dtype=complex)
-        for lab, coeff in terms:
-            if lab.chain + lab.level != level - 1:
-                raise DomainError(f"{lab} is not in row {level - 1}")
-            x[lab.chain // 2] += coeff
+    u, s, vh = np.linalg.svd(c)
+    cond_sq = _cond_sq(s)
+    if not cond_sq <= COND_LIMIT:
+        raise IllConditionedError(
+            f"Gram condition cond(C)^2 = {cond_sq:.3e} exceeds {COND_LIMIT:.0e}", cond_sq
+        )
+    x = vh.conj().T @ ((u.conj().T @ target) / s)
     tnorm = float(np.linalg.norm(target))
     residual = float(np.linalg.norm(target - c @ x)) / tnorm if tnorm > 0 else 0.0
-    return terms, residual
+    return [(lab, complex(z)) for lab, z in zip(labels, x)], residual
 
 
 def lowering_decomposition(
@@ -355,10 +346,8 @@ def lowering_decomposition(
     return _lowering(label, p)[0]
 
 
-def lowering_residual(
-    label: ChainLabel, p: ModeParams, terms: list[tuple[ChainLabel, complex]]
-) -> float:
+def lowering_residual(label: ChainLabel, p: ModeParams) -> float:
     """||A- |label> - sum_k c_k |label_k>|| / ||A- |label>|| for the terms
-    of lowering_decomposition, on the unpruned level arrays; 0 when the
-    lowered state vanishes."""
-    return _lowering(label, p, terms)[1]
+    (label_k, c_k) of lowering_decomposition, from the same solve on the
+    unpruned level arrays; 0 when the lowered state vanishes."""
+    return _lowering(label, p)[1]

@@ -148,10 +148,9 @@ def _check_required(args: argparse.Namespace) -> None:
         raise _UsageError(f"{args.command}: missing required {flags}")
 
 
-def _add_params(sub, *, alpha=True):
-    if alpha:
-        sub.add_argument("--alpha", type=parse_complex, default=None,
-                         help="mixing parameter alpha")
+def _add_params(sub):
+    sub.add_argument("--alpha", type=parse_complex, default=None,
+                     help="mixing parameter alpha")
     sub.add_argument("--beta", type=parse_complex, default=None,
                      help="mixing parameter beta (nonzero)")
 
@@ -159,6 +158,11 @@ def _add_params(sub, *, alpha=True):
 def _add_common(sub):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--config", default=None, help="key=value defaults file")
+
+
+def _add_drop_tol(sub):
+    # only chain and density print a pruned vector; the other subcommands
+    # compute on unpruned arrays, where a drop tolerance changes nothing
     sub.add_argument("--drop-tol", dest="drop_tol", type=float, default=None,
                      help="sparse amplitude drop tolerance (default 1e-14)")
 
@@ -183,6 +187,7 @@ def build_parser() -> _Parser:
     s.add_argument("--method", choices=("closed", "bruteforce"), default="closed")
     _add_params(s)
     _add_common(s)
+    _add_drop_tol(s)
 
     s = subs.add_parser("gram", help="overlap matrix of the chains meeting a level")
     s.add_argument("--row", type=int, default=None, help="energy level of the row")
@@ -217,9 +222,9 @@ def build_parser() -> _Parser:
     s.add_argument("--ny", type=int, default=600)
     s.add_argument("--format", choices=("csv", "bin"), default="csv")
     _add_common(s)
+    _add_drop_tol(s)
 
-    s = subs.add_parser("selftest", help="run the bundled oracle-equivalence checks")
-    s.add_argument("--config", default=None, help=argparse.SUPPRESS)
+    subs.add_parser("selftest", help="run the bundled oracle-equivalence checks")
 
     return parser
 
@@ -261,10 +266,12 @@ def _cmd_chain(args) -> int:
 def _cmd_gram(args) -> int:
     p = ModeParams(args.alpha, args.beta)
     mat = chains.gram_matrix(args.row, p)
+    cond = chains.gram_condition(args.row, p)
     payload = {
         "row": args.row,
         "labels": [[lab.chain, lab.level] for lab in chains.row_labels(args.row)],
-        "condition": chains.gram_condition(args.row, p),
+        # null where C is singular or cond(C)^2 is beyond a double
+        "condition": cond if math.isfinite(cond) else None,
         "matrix": [[_pair(complex(z)) for z in line] for line in mat],
     }
     with _out_stream(args.out) as fh:

@@ -36,30 +36,31 @@ Draw = tuple[ModeParams, FockVector, FockVector]
 # ------------------------------------------------------------- random draws
 
 def random_params(rng: np.random.Generator,
-                  ratio_range: tuple[float, float] = (0.5, 2.0),
-                  scale: float = 1.0) -> ModeParams:
+                  ratio_range: tuple[float, float] = (0.5, 2.0)) -> ModeParams:
     """Random ModeParams with |alpha|/|beta| inside ratio_range.
 
-    Phases are uniform; |beta| is drawn near `scale` so the overall
+    Phases are uniform; |beta| is drawn from [0.6, 1.4] so the overall
     magnitude stays O(1).
     """
     ratio = rng.uniform(*ratio_range)
-    beta_mag = scale * rng.uniform(0.6, 1.4)
+    beta_mag = rng.uniform(0.6, 1.4)
     alpha_mag = ratio * beta_mag
     pa, pb = rng.uniform(0.0, 2.0 * np.pi, size=2)
     return ModeParams(alpha=alpha_mag * np.exp(1j * pa),
                       beta=beta_mag * np.exp(1j * pb))
 
 
-def random_state(rng: np.random.Generator,
-                 n_max: int = 12,
-                 m_max: int = 12,
-                 entries: int = 6) -> FockVector:
-    """Random normalized sparse vector supported on n ≤ n_max, m ≤ m_max."""
+# random_state sums this many draws of a ket with n, m <= STATE_MAX_QUANTA
+STATE_DRAWS = 6
+STATE_MAX_QUANTA = 12
+
+
+def random_state(rng: np.random.Generator) -> FockVector:
+    """Random normalized sparse vector of up to STATE_DRAWS kets."""
     items = {}
-    for _ in range(entries):
-        n = int(rng.integers(0, n_max + 1))
-        m = int(rng.integers(0, m_max + 1))
+    for _ in range(STATE_DRAWS):
+        n = int(rng.integers(0, STATE_MAX_QUANTA + 1))
+        m = int(rng.integers(0, STATE_MAX_QUANTA + 1))
         re, im = rng.standard_normal(2)
         items[(n, m)] = items.get((n, m), 0.0) + complex(re, im)
     v = FockVector(items)
@@ -158,8 +159,8 @@ def zero_mode_recursion_error(params: Iterable[ModeParams], ns: Sequence[int]) -
     worst = 0.0
     for p in params:
         for n in ns:
-            for j, want in enumerate(zero_modes.zero_mode_coeffs_recursive(n, p)):
-                got = zero_modes.zero_mode_coeff(n, j, p)
+            closed = zero_modes.ZeroModeCoeffs.build(n, p).gamma
+            for got, want in zip(closed, zero_modes.zero_mode_coeffs_recursive(n, p)):
                 worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
     return worst
 
@@ -210,8 +211,7 @@ def lowering_error(params: Iterable[ModeParams], row_max: int) -> float:
             for label in chains.row_labels(row):
                 if label.level < 1:
                     continue
-                terms = chains.lowering_decomposition(label, p)
-                worst = max(worst, chains.lowering_residual(label, p, terms))
+                worst = max(worst, chains.lowering_residual(label, p))
     return worst
 
 
@@ -309,15 +309,9 @@ def slow_mode_staggering() -> bool:
 
 # ------------------------------------------------------- resolution, grids
 
+# The bound on resolution.fullspace_identity_check, the worst deviation from
+# the identity over every level subspace up to a cutoff.
 IDENTITY_TOL = 1e-8
-
-
-def identity_deviations(nu_max: int, full_max: int) -> tuple[float, float]:
-    """Max deviation from the identity of each level subspace nu <= nu_max,
-    and of the full space truncated at 2n + m <= full_max."""
-    worst_sub = max(float(np.max(np.abs(resolution.subspace_identity(nu) - 1.0)))
-                    for nu in range(nu_max + 1))
-    return worst_sub, resolution.fullspace_identity_check(full_max)
 
 
 LISSAJOUS_MASS_TOL = 1e-3
@@ -398,7 +392,7 @@ def selftest_checks() -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
         ("lowering decomposition residual", lambda: _within(
             "worst relative residual", lowering_error(params[:2], 8), LOWERING_TOL)),
         ("level identity by quadrature", lambda: _within(
-            "worst deviation", max(identity_deviations(4, 4)), IDENTITY_TOL)),
+            "worst deviation", resolution.fullspace_identity_check(4), IDENTITY_TOL)),
         ("vacuum density mass", lambda: _within(
             "vacuum mass error",
             vacuum_mass_error(position.Grid2D(-6.0, 6.0, -6.0, 6.0, 201, 201)),

@@ -23,8 +23,8 @@ from .errors import DomainError
 FockIndex = tuple[int, int]
 
 # Amplitudes with |a| < drop tolerance are discarded when a vector is built.
-# Overridable for a block of code with drop_tolerance (the CLI exposes
-# --drop-tol).
+# Overridable for a block of code with drop_tolerance (the CLI's chain and
+# density expose --drop-tol).
 DEFAULT_DROP_TOL = 1e-14
 
 _drop_tol: ContextVar[float] = ContextVar("drop_tol", default=DEFAULT_DROP_TOL)
@@ -105,15 +105,8 @@ class FockVector:
             raise DomainError(f"level {level} needs {len(basis)} amplitudes, got {len(amps)}")
         return cls(zip(basis, amps))
 
-    @classmethod
-    def zero(cls) -> "FockVector":
-        return cls()
-
     def items(self) -> Iterator[tuple[FockIndex, complex]]:
         return iter(self._amp.items())
-
-    def support(self) -> list[FockIndex]:
-        return list(self._amp)
 
     def __iter__(self) -> Iterator[FockIndex]:
         return iter(self._amp)
@@ -148,9 +141,6 @@ class FockVector:
         return FockVector({k: s * v for k, v in self._amp.items()})
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "FockVector":
-        return self * -1.0
 
     def norm_sq(self) -> float:
         return sum((v.real * v.real + v.imag * v.imag) for v in self._amp.values())

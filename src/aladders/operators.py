@@ -10,17 +10,26 @@ the pair is not canonical.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
 from .fock import FockVector, a_minus, a_plus, b_minus, b_plus
 
+# Nonzero |alpha|, |beta| and |alpha|/|beta| must lie within
+# [1/PARAM_BOUND, PARAM_BOUND].  A sweep of log10|alpha| and log10|beta| over
+# -300..300 served every subcommand inside it with finite output and no
+# warning; from 1e160 the unscaled squares in the level arrays overflow or
+# lose their digits.
+PARAM_BOUND = 1e150
+
 
 @dataclass(frozen=True)
 class ModeParams:
     """Mixing parameters (alpha, beta); beta = 0 is rejected because the
-    zero-mode closed forms divide by conj(beta), and a non-finite alpha or
-    beta because no state is defined there."""
+    zero-mode closed forms divide by conj(beta), a non-finite alpha or beta
+    because no state is defined there, and magnitudes or a ratio outside
+    PARAM_BOUND because doubles cannot carry them through."""
 
     alpha: complex
     beta: complex
@@ -33,6 +42,16 @@ class ModeParams:
                 raise DomainError(f"{name} must be finite, got {value}")
         if self.beta == 0:
             raise DomainError("beta must be nonzero")
+        # hypot, not abs: abs of a complex beyond a double raises
+        a = math.hypot(self.alpha.real, self.alpha.imag)
+        b = math.hypot(self.beta.real, self.beta.imag)
+        # |alpha| and |beta| first: within the bound their ratio is nonzero
+        for name, value in (("|alpha|", a), ("|beta|", b), ("|alpha|/|beta|", a / b)):
+            if value != 0 and not 1.0 / PARAM_BOUND <= value <= PARAM_BOUND:
+                raise DomainError(
+                    f"{name} must be 0 or within [{1.0 / PARAM_BOUND:.0e}, "
+                    f"{PARAM_BOUND:.0e}], got {value:.3e}"
+                )
 
 
 def apply_raising(p: ModeParams, v: FockVector) -> FockVector:

@@ -34,6 +34,12 @@ RECURRENCE_MAX = 500
 
 GRID_MAGIC = b"ALGRID01"
 
+# Points on one sampled Lissajous curve, and the phases that best_tube_phase
+# scans coarsely over the whole period and then finely around the best one.
+CURVE_SAMPLES = 2048
+COARSE_PHASES = 36
+REFINE_PHASES = 12
+
 
 @dataclass
 class Grid2D:
@@ -81,22 +87,9 @@ class Grid2D:
 DEFAULT_DENSITY_GEOMETRY = Grid2D(-8.0, 8.0, -16.0, 16.0, 600, 600)
 
 
-def ho_eigenfunction(n: int, omega: float, x) -> np.ndarray:
-    """Normalized harmonic-oscillator eigenfunction psi_n at frequency omega."""
-    if n < 0:
-        raise DomainError(f"quantum number must be >= 0, got {n}")
-    if n > RECURRENCE_MAX:
-        raise DomainError(
-            f"quantum number {n} beyond recurrence stability cap {RECURRENCE_MAX}"
-        )
-    if omega <= 0:
-        raise DomainError(f"frequency must be > 0, got {omega}")
-    xs = np.asarray(x, dtype=float)
-    return eigenfunction_table(n, omega, np.atleast_1d(xs))[n].reshape(xs.shape)
-
-
 def eigenfunction_table(n_max: int, omega: float, xs: np.ndarray) -> np.ndarray:
-    """psi_n(xs) for all n <= n_max, shape (n_max + 1, len(xs))."""
+    """Normalized harmonic-oscillator eigenfunctions psi_n(xs) at frequency
+    omega for all n <= n_max, shape (n_max + 1, len(xs))."""
     if n_max < 0 or n_max > RECURRENCE_MAX:
         raise DomainError(f"need 0 <= n_max <= {RECURRENCE_MAX}, got {n_max}")
     if omega <= 0:
@@ -193,18 +186,15 @@ def lissajous_amplitudes(v: FockVector) -> tuple[float, float]:
     return math.sqrt(occ_a + 0.5), math.sqrt(2.0 * occ_b + 1.0)
 
 
-def lissajous_curve(
-    amp_x: float, amp_y: float, phase: float, samples: int = 2048
-) -> np.ndarray:
-    """Sampled 2:1 curve (x, y) = (A cos(2t + phase), B cos t), shape (samples, 2)."""
-    if samples < 8:
-        raise DomainError("need at least 8 curve samples")
-    t = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+def lissajous_curve(amp_x: float, amp_y: float, phase: float) -> np.ndarray:
+    """Sampled 2:1 curve (x, y) = (A cos(2t + phase), B cos t), shape
+    (CURVE_SAMPLES, 2)."""
+    t = np.linspace(0.0, 2.0 * math.pi, CURVE_SAMPLES, endpoint=False)
     return np.column_stack((amp_x * np.cos(2.0 * t + phase), amp_y * np.cos(t)))
 
 
 def _tube_fractions(
-    grid: Grid2D, amp_x: float, amp_y: float, radius: float, samples: int = 2048
+    grid: Grid2D, amp_x: float, amp_y: float, radius: float
 ) -> Callable[[float], float]:
     """phase -> fraction of the grid's mass within `radius` of the Lissajous
     curve at that phase.  The grid and radius are checked, and the grid's
@@ -230,7 +220,7 @@ def _tube_fractions(
     bound = np.nextafter(radius, np.inf)
 
     def fraction(phase: float) -> float:
-        tree = cKDTree(lissajous_curve(amp_x, amp_y, phase, samples))
+        tree = cKDTree(lissajous_curve(amp_x, amp_y, phase))
         dist, _ = tree.query(points, k=1, distance_upper_bound=bound)
         inside = (dist <= radius).reshape(grid.nx, grid.ny)
         return replace(grid, values=grid.values * inside).integral() / total
@@ -239,31 +229,22 @@ def _tube_fractions(
 
 
 def tube_mass_fraction(
-    grid: Grid2D,
-    amp_x: float,
-    amp_y: float,
-    phase: float,
-    radius: float = 1.0,
-    samples: int = 2048,
+    grid: Grid2D, amp_x: float, amp_y: float, phase: float, radius: float = 1.0
 ) -> float:
     """Fraction of the grid's mass within `radius` of the Lissajous curve;
     a node at exactly `radius` counts as inside."""
-    return _tube_fractions(grid, amp_x, amp_y, radius, samples)(phase)
+    return _tube_fractions(grid, amp_x, amp_y, radius)(phase)
 
 
 def best_tube_phase(
-    grid: Grid2D,
-    amp_x: float,
-    amp_y: float,
-    radius: float = 1.0,
-    coarse: int = 36,
-    refine: int = 12,
+    grid: Grid2D, amp_x: float, amp_y: float, radius: float = 1.0
 ) -> tuple[float, float]:
     """Fit the curve's relative phase by maximizing tube mass.
 
-    A coarse scan on a subsampled copy of the grid picks the neighbourhood,
-    a local scan at full resolution refines it.  Returns (fraction, phase).
-    Both grids are checked before any curve is queried.
+    A scan of COARSE_PHASES phases on a subsampled copy of the grid picks
+    the neighbourhood, and REFINE_PHASES phases at full resolution refine
+    it.  Returns (fraction, phase).  Both grids are checked before any
+    curve is queried.
     """
     if grid.values is None:
         raise DomainError("grid has no values")
@@ -276,12 +257,12 @@ def best_tube_phase(
     )
     rough_fraction = _tube_fractions(rough, amp_x, amp_y, radius)
     fraction = _tube_fractions(grid, amp_x, amp_y, radius)
-    phases = np.linspace(0.0, 2.0 * math.pi, coarse, endpoint=False)
+    phases = np.linspace(0.0, 2.0 * math.pi, COARSE_PHASES, endpoint=False)
     scores = [rough_fraction(ph) for ph in phases]
     centre = phases[int(np.argmax(scores))]
-    span = 2.0 * math.pi / coarse
+    span = 2.0 * math.pi / COARSE_PHASES
     best = (-1.0, 0.0)
-    for ph in np.linspace(centre - span, centre + span, refine):
+    for ph in np.linspace(centre - span, centre + span, REFINE_PHASES):
         frac = fraction(float(ph))
         if frac > best[0]:
             best = (frac, float(ph))

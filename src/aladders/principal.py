@@ -19,7 +19,11 @@ The position/momentum uncertainty products on these states reduce to mode
 occupations:
 
     product_a = (1/4) (1 + 2 <n_a>)^2,   <n_a> = |alpha beta|^2 nu (nu-1) N_{nu-2} / (4 N_nu)
+                                                = nu (nu-1) H_{nu-2}(x) / H_nu(x)
     product_b = (1/2 + <n_b>)^2,         <n_b> = |alpha|^2 nu N_{nu-1} / N_nu
+                                                = 2x nu H_{nu-1}(x) / H_nu(x)
+
+with x = |alpha|/|beta|, so the products depend on that ratio alone.
 
 and uncertainty_direct recomputes the same products from raw ladder algebra
 as an independent oracle.
@@ -71,15 +75,17 @@ def log_pseudo_hermite(nu: int, x: float) -> float:
         raise DomainError(f"polynomial degree must be >= 0, got {nu}")
     if x < 0:
         raise DomainError(f"argument must be >= 0, got {x}")
-    return _log_hermite(nu, x, _log_factorials(nu))
-
-
-def _log_hermite(nu: int, x: float, lf: np.ndarray) -> float:
-    """log H_nu(x) for x >= 0, with lf[i] = log(i!) for i = 0..nu at least."""
+    lf = _log_factorials(nu)
     if x == 0.0:
         return -math.inf if nu % 2 else float(lf[nu] - lf[nu // 2])
+    return _log_hermite(nu, math.log(2.0 * x), lf)
+
+
+def _log_hermite(nu: int, log_2x: float, lf: np.ndarray) -> float:
+    """log H_nu(x) for x > 0 from log(2x), with lf[i] = log(i!) for
+    i = 0..nu at least."""
     k = np.arange(nu // 2 + 1)
-    return _logsumexp(lf[nu] - lf[nu - 2 * k] - lf[k] + (nu - 2 * k) * math.log(2.0 * x))
+    return _logsumexp(lf[nu] - lf[nu - 2 * k] - lf[k] + (nu - 2 * k) * log_2x)
 
 
 def pseudo_hermite(nu: int, x: float) -> float:
@@ -95,13 +101,9 @@ def principal_log_norm_sq(nu: int, p: ModeParams) -> float:
         return 0.0
     if p.alpha == 0:
         return -math.inf
-    return _log_norm_sq(nu, p, _log_factorials(nu))
-
-
-def _log_norm_sq(nu: int, p: ModeParams, lf: np.ndarray) -> float:
-    """log N_nu for alpha != 0, with lf as in _log_hermite."""
     a, b = abs(p.alpha), abs(p.beta)
-    return nu * (math.log(a) + math.log(b) - math.log(2.0)) + _log_hermite(nu, a / b, lf)
+    return (nu * (math.log(a) + math.log(b) - math.log(2.0))
+            + _log_hermite(nu, math.log(2.0 * (a / b)), _log_factorials(nu)))
 
 
 def principal_norm_sq(nu: int, p: ModeParams) -> float:
@@ -182,18 +184,14 @@ def uncertainty_products(nu: int, p: ModeParams) -> UncertaintyReport:
         raise DomainError("principal chain vanishes identically for alpha = 0")
     occ_a = occ_b = 0.0
     if nu >= 1:
-        # one log-factorial array serves N_nu, N_{nu-1} and N_{nu-2}
+        # the occupations depend on x = |alpha|/|beta| alone; one
+        # log-factorial array serves H_nu, H_{nu-1} and H_{nu-2}
         lf = _log_factorials(nu)
-        log_top = _log_norm_sq(nu, p, lf)
-        occ_b = abs(p.alpha) ** 2 * nu * math.exp(_log_norm_sq(nu - 1, p, lf) - log_top)
+        log_2x = math.log(2.0 * (abs(p.alpha) / abs(p.beta)))
+        log_top = _log_hermite(nu, log_2x, lf)
+        occ_b = nu * math.exp(log_2x + _log_hermite(nu - 1, log_2x, lf) - log_top)
         if nu >= 2:
-            occ_a = (
-                0.25
-                * (abs(p.alpha) * abs(p.beta)) ** 2
-                * nu
-                * (nu - 1)
-                * math.exp(_log_norm_sq(nu - 2, p, lf) - log_top)
-            )
+            occ_a = nu * (nu - 1) * math.exp(_log_hermite(nu - 2, log_2x, lf) - log_top)
     product_a = 0.25 * (1.0 + 2.0 * occ_a) ** 2
     product_b = (0.5 + occ_b) ** 2
     return UncertaintyReport(nu, product_a, product_b)

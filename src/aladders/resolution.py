@@ -35,6 +35,9 @@ CONVERGENCE_TOL = 1e-6
 
 MIN_NODES = 8
 
+# Nodes of the rule behind gaussian_moment_quad and exponential_moment_quad.
+MOMENT_NODES = 64
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -104,11 +107,12 @@ def gaussian_moment(k: int, c: float) -> float:
     return math.exp(math.lgamma(k + 1) - math.log(2.0) - (k + 1) * math.log(c))
 
 
-def gaussian_moment_quad(k: int, c: float, nodes: int = 64) -> float:
-    """Same moment via Gauss-Laguerre after u = c x^2 (self-test path)."""
+def gaussian_moment_quad(k: int, c: float) -> float:
+    """Same moment via the MOMENT_NODES-point Gauss-Laguerre rule after
+    u = c x^2 (self-test path)."""
     if k < 0 or c <= 0.0:
         raise DomainError("need k >= 0 and c > 0")
-    return _exp_or_inf(_log_moments(nodes, k) - math.log(2.0) - (k + 1) * math.log(c))
+    return _exp_or_inf(_log_moments(MOMENT_NODES, k) - math.log(2.0) - (k + 1) * math.log(c))
 
 
 def exponential_moment(n: int, d: float) -> float:
@@ -120,11 +124,12 @@ def exponential_moment(n: int, d: float) -> float:
     return math.exp(math.lgamma(n + 1) - (n + 1) * math.log(d))
 
 
-def exponential_moment_quad(n: int, d: float, nodes: int = 64) -> float:
-    """Same moment via Gauss-Laguerre after u = d x (self-test path)."""
+def exponential_moment_quad(n: int, d: float) -> float:
+    """Same moment via the MOMENT_NODES-point Gauss-Laguerre rule after
+    u = d x (self-test path)."""
     if n < 0 or d <= 0.0:
         raise DomainError("need n >= 0 and d > 0")
-    return _exp_or_inf(_log_moments(nodes, n) - (n + 1) * math.log(d))
+    return _exp_or_inf(_log_moments(MOMENT_NODES, n) - (n + 1) * math.log(d))
 
 
 def _identity_diag(nu: int, nodes_a: int, nodes_b: int) -> np.ndarray:

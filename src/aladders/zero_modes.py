@@ -56,15 +56,6 @@ def _log_coeffs(n: int, p: ModeParams) -> tuple[np.ndarray, np.ndarray]:
     return j * math.log(abs(ratio)) + body, j * cmath.phase(ratio)
 
 
-def zero_mode_coeff(n: int, j: int, p: ModeParams) -> complex:
-    """Closed-form expansion coefficient gamma_j of the level-2n zero mode."""
-    n = _check_n(n)
-    if not 0 <= j <= n:
-        raise DomainError(f"coefficient index j must be in 0..{n}, got {j}")
-    log_mag, phase = _log_coeffs(n, p)
-    return cmath.rect(_exp_or_inf(log_mag[j]), phase[j])
-
-
 def zero_mode_coeffs_recursive(n: int, p: ModeParams) -> list[complex]:
     """All gamma_j by literal iteration of the two-term recursion (oracle)."""
     n = _check_n(n)
@@ -196,11 +187,16 @@ def lowering_matrix(nu: int, p: ModeParams) -> np.ndarray:
     return mat
 
 
-def level_null_space_dim(nu: int, p: ModeParams, rel_tol: float = 1e-10) -> int:
+# A singular value below this fraction of the largest counts as zero.
+NULL_SPACE_REL_TOL = 1e-10
+
+
+def level_null_space_dim(nu: int, p: ModeParams) -> int:
     """Dimension of the kernel of the lowering operator inside level nu.
 
-    Counted as the number of singular values below rel_tol times the largest
-    one.  Generic parameters give 1 on even levels and 0 on odd levels.
+    Counted as the number of singular values below NULL_SPACE_REL_TOL times
+    the largest one.  Generic parameters give 1 on even levels and 0 on odd
+    levels.
     """
     mat = lowering_matrix(nu, p)
     ncols = mat.shape[1]
@@ -210,5 +206,5 @@ def level_null_space_dim(nu: int, p: ModeParams, rel_tol: float = 1e-10) -> int:
     top = svals.max() if svals.size else 0.0
     if top == 0.0:
         return ncols
-    rank = int(np.sum(svals > rel_tol * top))
+    rank = int(np.sum(svals > NULL_SPACE_REL_TOL * top))
     return ncols - rank

@@ -22,7 +22,7 @@ from aladders.fock import FockVector
 
 def max_amp_diff(u: FockVector, v: FockVector) -> float:
     """Largest per-amplitude difference |u[idx] − v[idx]| over joint support."""
-    keys = set(u.support()) | set(v.support())
+    keys = set(u) | set(v)
     if not keys:
         return 0.0
     return max(abs(u[k] - v[k]) for k in keys)

@@ -15,6 +15,7 @@ import numpy as np
 from aladders import criteria as C
 from aladders.criteria import random_params, random_state
 from aladders.operators import ModeParams
+from aladders.resolution import fullspace_identity_check
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -73,7 +74,7 @@ def test_criterion_06_lowering_decomposition():
 
 
 def test_criterion_07_resolution_of_identity():
-    worst_sub, full = C.identity_deviations(8, 6)
+    worst_sub, full = fullspace_identity_check(8), fullspace_identity_check(6)
     ok = worst_sub <= C.IDENTITY_TOL and full <= C.IDENTITY_TOL
     report(7, "resolution of the identity", ok,
            f"subspace max deviation {worst_sub:.3e} (nu <= 8), "

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -16,11 +17,13 @@ import pytest
 import aladders
 from aladders import resolution
 from aladders.cli import (
+    _REQUIRED,
     EXIT_CONVERGENCE,
     EXIT_DOMAIN,
     EXIT_ILL_CONDITIONED,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     parse_complex,
     run,
 )
@@ -324,6 +327,50 @@ def test_non_finite_parameters_refused(argv, capsys):
     assert captured.err.startswith("domain error: alpha must be finite")
 
 
+@pytest.mark.parametrize("argv", [
+    ["uncertainty", "--nu-max", "3", "--alpha", "1e300", "--beta", "1e-300"],
+    ["uncertainty", "--nu-max", "3", "--alpha", "1e200", "--beta", "1"],
+    ["uncertainty", "--nu-max", "3", "--alpha", "1e-200", "--beta", "1"],
+    ["uncertainty", "--nu-max", "3", "--alpha", "1e-300", "--beta", "1e300"],
+    ["uncertainty", "--nu-max", "3", "--alpha", "1.7e308,1.7e308", "--beta", "1"],
+    ["chain", "--chain", "0", "--level", "3", "--alpha", "1e200", "--beta", "1e-200"],
+    ["gram", "--row", "4", "--alpha", "1e200", "--beta", "1e-200"],
+    ["lower", "--chain", "0", "--level", "3", "--alpha", "1e200", "--beta", "1e-200"],
+    ["zero-modes", "--n", "2", "--alpha", "1e200", "--beta", "1e-200"],
+    ["density", "--level", "4", "--alpha", "1e200", "--beta", "1e-200"],
+    ["gram", "--row", "4", "--alpha", "1", "--beta", "1e160"],
+    ["lower", "--chain", "0", "--level", "3", "--alpha", "1", "--beta", "1e160"],
+    ["chain", "--chain", "0", "--level", "3", "--method", "bruteforce", "--alpha", "1",
+     "--beta", "1e160"],
+])
+def test_parameters_beyond_the_bound_refused(argv, capsys):
+    # finite inputs whose squares or ratio a double cannot carry: refused where
+    # ModeParams is built, before any overflow, warning or traceback
+    assert run(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be 0 or within [1e-150, 1e+150]" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_uncertainty_is_scale_free(capsys):
+    # the products depend on |alpha|/|beta| alone, so a common scale whose
+    # squares underflow must leave every byte as it is
+    assert run(["uncertainty", "--nu-max", "3", "--alpha", "1e-100",
+                "--beta", "1e-100"]) == EXIT_OK
+    tiny = capsys.readouterr().out
+    assert run(["uncertainty", "--nu-max", "3", "--alpha", "1", "--beta", "1"]) == EXIT_OK
+    assert tiny == capsys.readouterr().out
+
+
+def test_singular_gram_condition_is_null(capsys):
+    # C is singular at this ratio, and Infinity is not JSON
+    code = run(["gram", "--row", "3", "--alpha", "1e-20", "--beta", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert json.loads(captured.out, parse_constant=pytest.fail)["condition"] is None
+
+
 def test_resolution_deep_level_many_nodes(capsys):
     # x**nu of the largest nodes is beyond a double here; the rule is summed
     # in log space, so the level is served
@@ -401,6 +448,19 @@ def test_import_skips_scipy_linalg():
     assert lines[0] == "[]"
     assert json.loads("\n".join(lines[1:-1]))["nu"] == 4
     assert lines[-1] == str(EXIT_OK)
+
+
+def test_readme_cli_examples_parse():
+    # every invocation in README's CLI block names a subcommand and flags that
+    # exist, so a removed flag cannot stay documented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    examples = [words[1:] for words in lines if words and words[0] == "aladders"]
+    assert sorted(argv[0] for argv in examples) == sorted(_REQUIRED)  # one each
+    parser = build_parser()
+    for argv in examples:
+        parser.parse_args(argv)
 
 
 def test_selftest_passes(capsys):

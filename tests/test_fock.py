@@ -36,14 +36,14 @@ def ket(n, m, amp=1.0):
 def test_a_plus_examples():
     assert max_amp_diff(a_plus(ket(0, 0)), ket(1, 0)) == 0.0
     out = a_plus(ket(2, 5))
-    assert out.support() == [(3, 5)]
+    assert list(out) == [(3, 5)]
     assert out[(3, 5)] == pytest.approx(math.sqrt(3))
 
 
 def test_a_minus_examples():
     assert not a_minus(ket(0, 3))  # annihilates the a-vacuum
     out = a_minus(ket(4, 1))
-    assert out.support() == [(3, 1)]
+    assert list(out) == [(3, 1)]
     assert out[(3, 1)] == pytest.approx(2.0)
 
 
@@ -121,7 +121,7 @@ def test_level_basis_properties(nu):
 
 def test_from_level_reads_the_level_basis():
     v = FockVector.from_level(4, np.array([1.0, 1e-20, 2j]))
-    assert v.support() == [(0, 4), (2, 0)]  # pruned like any other vector
+    assert list(v) == [(0, 4), (2, 0)]  # pruned like any other vector
     assert v[(2, 0)] == 2j
     with pytest.raises(DomainError):
         FockVector.from_level(4, [1.0, 2.0])
@@ -191,7 +191,7 @@ def test_vector_is_immutable():
         v._amp = {}
     with pytest.raises(AttributeError):
         v.extra = 1
-    assert v.support() == [(0, 0)]
+    assert list(v) == [(0, 0)]
 
 
 def test_arithmetic(rng):
@@ -200,7 +200,6 @@ def test_arithmetic(rng):
     assert max_amp_diff(v + w, w + v) == 0.0
     assert max_amp_diff((v - w) + w, v) < 1e-14
     assert max_amp_diff(2.0 * v, v * 2.0) == 0.0
-    assert max_amp_diff(-v, -1.0 * v) == 0.0
     assert (0.0 * v).norm() == 0.0
 
 
@@ -211,7 +210,7 @@ def test_norm_and_normalized(rng):
     assert w.norm_sq() == pytest.approx(3.5**2)
     assert w.normalized().norm() == pytest.approx(1.0)
     with pytest.raises(Exception):
-        FockVector.zero().normalized()
+        FockVector().normalized()
 
 
 def test_records_sorted_lexicographically():
@@ -223,15 +222,15 @@ def test_records_sorted_lexicographically():
 
 def test_iteration_and_getitem(rng):
     v = random_state(rng)
-    assert list(v) == v.support()  # iteration yields indices, dict-style
+    assert list(v) == sorted(dict(v.items()))  # indices, dict-style, in order
     assert dict(v.items()) == {idx: v[idx] for idx in v}
     missing = v[(999, 999)]
     assert missing == 0.0
 
 
 def test_basis_and_zero_constructors():
-    assert FockVector.basis(3, 4).support() == [(3, 4)]
-    assert not FockVector.zero()
+    assert list(FockVector.basis(3, 4)) == [(3, 4)]
+    assert not FockVector()
     with pytest.raises(Exception):
         FockVector.basis(-1, 0)
 

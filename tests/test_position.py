@@ -8,10 +8,12 @@ import math
 import numpy as np
 import pytest
 
+from aladders import position
 from aladders.errors import DomainError
 from aladders.fock import FockVector
 from aladders.operators import ModeParams
 from aladders.position import (
+    CURVE_SAMPLES,
     DEFAULT_DENSITY_GEOMETRY,
     GRID_MAGIC,
     RECURRENCE_MAX,
@@ -20,7 +22,6 @@ from aladders.position import (
     best_tube_phase,
     density_grid,
     eigenfunction_table,
-    ho_eigenfunction,
     l1_distance,
     lissajous_amplitudes,
     lissajous_curve,
@@ -41,13 +42,14 @@ def turning_point_window(n_max: int, omega: float, points: int = 4001):
 
 def test_ground_state_values():
     # psi_0 at the origin: (omega/pi)^(1/4); fast mode omega = 2
-    assert ho_eigenfunction(0, 2.0, 0.0) == pytest.approx((2 / math.pi) ** 0.25)
-    assert ho_eigenfunction(0, 1.0, 0.0) == pytest.approx((1 / math.pi) ** 0.25)
+    assert eigenfunction_table(0, 2.0, [0.0])[0, 0] == pytest.approx((2 / math.pi) ** 0.25)
+    assert eigenfunction_table(0, 1.0, [0.0])[0, 0] == pytest.approx((1 / math.pi) ** 0.25)
 
 
 def test_odd_states_vanish_at_origin():
+    table = eigenfunction_table(99, 1.0, [0.0])
     for n in (1, 3, 7, 99):
-        assert abs(ho_eigenfunction(n, 1.0, 0.0)) < 1e-300
+        assert abs(table[n, 0]) < 1e-300
 
 
 def test_eigenfunction_recurrence_cap():
@@ -56,7 +58,9 @@ def test_eigenfunction_recurrence_cap():
     with pytest.raises(DomainError):
         eigenfunction_table(RECURRENCE_MAX + 1, 1.0, xs)
     with pytest.raises(DomainError):
-        ho_eigenfunction(-1, 1.0, 0.0)
+        eigenfunction_table(-1, 1.0, xs)
+    with pytest.raises(DomainError):
+        eigenfunction_table(3, 0.0, xs)
 
 
 @pytest.mark.parametrize("omega", [1.0, 2.0])
@@ -117,12 +121,14 @@ def test_amplitude_grid_matches_direct_evaluation():
     geom = Grid2D(-3, 3, -3, 3, 7, 9)
     grid = amplitude_grid(v, geom)
     xs, ys = geom.xs(), geom.ys()
+
+    def psi(n, omega, x):
+        return eigenfunction_table(n, omega, [x])[n, 0]
+
     for ix in (0, 3, 6):
         for iy in (0, 4, 8):
-            want = (0.6 * ho_eigenfunction(0, 2.0, xs[ix])
-                    * ho_eigenfunction(0, 1.0, ys[iy])
-                    + 0.8j * ho_eigenfunction(1, 2.0, xs[ix])
-                    * ho_eigenfunction(2, 1.0, ys[iy]))
+            want = (0.6 * psi(0, 2.0, xs[ix]) * psi(0, 1.0, ys[iy])
+                    + 0.8j * psi(1, 2.0, xs[ix]) * psi(2, 1.0, ys[iy]))
             assert grid.values[ix, iy] == pytest.approx(want, abs=1e-12)
 
 
@@ -234,12 +240,10 @@ def test_lissajous_amplitudes_vacuum():
 
 
 def test_lissajous_curve_shape():
-    pts = lissajous_curve(2.0, 3.0, 0.25, samples=512)
-    assert pts.shape == (512, 2)
+    pts = lissajous_curve(2.0, 3.0, 0.25)
+    assert pts.shape == (CURVE_SAMPLES, 2)
     assert np.max(np.abs(pts[:, 0])) <= 2.0 + 1e-12
     assert np.max(np.abs(pts[:, 1])) <= 3.0 + 1e-12
-    with pytest.raises(DomainError):
-        lissajous_curve(1.0, 1.0, 0.0, samples=4)
 
 
 def test_tube_fraction_bounds(rng):
@@ -296,9 +300,11 @@ def test_tube_fraction_matches_unbounded_query(level40):
             assert tube_mass_fraction(grid, A, B, phase, radius) == want
 
 
-def test_best_tube_phase_matches_brute_force_scan(level40):
+def test_best_tube_phase_matches_brute_force_scan(level40, monkeypatch):
     grid, A, B = level40
     coarse, refine = 9, 4
+    monkeypatch.setattr(position, "COARSE_PHASES", coarse)
+    monkeypatch.setattr(position, "REFINE_PHASES", refine)
     assert min(grid.nx, grid.ny) // 150 == 1  # so the coarse scan sees the full grid
 
     def score(phase):
@@ -310,7 +316,7 @@ def test_best_tube_phase_matches_brute_force_scan(level40):
     scan = [(score(float(ph)), float(ph))
             for ph in np.linspace(centre - span, centre + span, refine)]
     want = max(scan, key=lambda pair: pair[0])  # the first of equal fractions
-    assert best_tube_phase(grid, A, B, radius=1.0, coarse=coarse, refine=refine) == want
+    assert best_tube_phase(grid, A, B, radius=1.0) == want
 
 
 def test_best_tube_phase_refuses_bad_input_before_any_query(monkeypatch):

@@ -153,7 +153,7 @@ def test_principal_state_structure():
     assert len(ps.coeffs) == 5 // 2 + 1
     v = ps.to_fock()
     assert v.norm() == pytest.approx(1.0, abs=1e-12)
-    assert v.support() == [(0, 5), (1, 3), (2, 1)]
+    assert list(v) == [(0, 5), (1, 3), (2, 1)]
     assert ps.norm_sq == pytest.approx(principal_norm_sq(5, P))
 
 
@@ -171,7 +171,7 @@ def test_norm_beyond_double_is_inf():
 def test_principal_state_alpha_zero_degenerates():
     p = ModeParams(alpha=0.0, beta=1.0)
     st0 = principal_state(0, p)
-    assert st0.to_fock().support() == [(0, 0)]
+    assert list(st0.to_fock()) == [(0, 0)]
     for nu in (1, 2, 5):
         with pytest.raises(DomainError):
             principal_state(nu, p)
@@ -302,14 +302,14 @@ def test_binomial_ansatz_low_levels():
     want = FockVector({(1, 0): a_param, (0, 2): b_param}).normalized()
     assert (v1 - want).norm() < 1e-14
     v0 = binomial_ansatz_state(0, a_param, b_param)
-    assert v0.support() == [(0, 0)]
+    assert list(v0) == [(0, 0)]
 
 
 def test_binomial_ansatz_support():
     v = binomial_ansatz_state(5, 1.0, 1.0)
-    assert v.support() == [(k, 2 * (5 - k)) for k in range(6)]
+    assert list(v) == [(k, 2 * (5 - k)) for k in range(6)]
     assert v.norm() == pytest.approx(1.0)
-    assert all(m % 2 == 0 for _, m in v.support())
+    assert all(m % 2 == 0 for _, m in v)
 
 
 def test_binomial_ansatz_differs_from_principal():

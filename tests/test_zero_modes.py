@@ -18,7 +18,6 @@ from aladders.zero_modes import (
     _log_factorials,
     level_null_space_dim,
     lowering_matrix,
-    zero_mode_coeff,
     zero_mode_coeffs_recursive,
     zero_mode_state,
 )
@@ -32,22 +31,20 @@ P = ModeParams(alpha=0.9 + 0.2j, beta=1.3 - 0.4j)
 
 def test_gamma_zero_is_one():
     for n in (0, 1, 5, 17):
-        assert zero_mode_coeff(n, 0, P) == pytest.approx(1.0)
+        assert ZeroModeCoeffs.build(n, P).gamma[0] == 1.0
 
 
 def test_gamma_hand_values():
     r = P.alpha.conjugate() / P.beta.conjugate()
-    assert zero_mode_coeff(1, 1, P) == pytest.approx(-math.sqrt(2) * r)
-    assert zero_mode_coeff(2, 1, P) == pytest.approx(-(2 / math.sqrt(3)) * r)
+    assert ZeroModeCoeffs.build(1, P).gamma[1] == pytest.approx(-math.sqrt(2) * r)
+    assert ZeroModeCoeffs.build(2, P).gamma[1] == pytest.approx(-(2 / math.sqrt(3)) * r)
 
 
 def test_gamma_out_of_range():
+    # gamma_0..gamma_n and no more; no level below 0
+    assert len(ZeroModeCoeffs.build(2, P).gamma) == 3
     with pytest.raises(DomainError):
-        zero_mode_coeff(2, 3, P)
-    with pytest.raises(DomainError):
-        zero_mode_coeff(2, -1, P)
-    with pytest.raises(DomainError):
-        zero_mode_coeff(-1, 0, P)
+        ZeroModeCoeffs.build(-1, P)
 
 
 def test_recursion_base_cases():
@@ -64,8 +61,7 @@ def test_closed_matches_recursion(rng):
         p = random_params(rng)
         for n in range(0, 31, 3):
             rec = zero_mode_coeffs_recursive(n, p)
-            for j, want in enumerate(rec):
-                got = zero_mode_coeff(n, j, p)
+            for got, want in zip(ZeroModeCoeffs.build(n, p).gamma, rec, strict=True):
                 assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
 
@@ -76,7 +72,7 @@ def test_alpha_zero_collapses_to_first_coefficient():
         assert coeffs[0] == 1.0
         assert all(c == 0.0 for c in coeffs[1:])
         v = zero_mode_state(n, p)
-        assert v.support() == [(0, 2 * n)]
+        assert list(v) == [(0, 2 * n)]
         assert abs(v[(0, 2 * n)]) == pytest.approx(1.0)
 
 
@@ -96,8 +92,11 @@ def test_coeffs_beyond_double_are_inf():
     p = ModeParams(alpha=1000.0, beta=1.0)
     zm = ZeroModeCoeffs.build(150, p)
     assert zm.norm_sq == math.inf
-    assert zm.gamma[:100] == tuple(zero_mode_coeff(150, j, p) for j in range(100))
-    assert cmath.isinf(zm.gamma[-1]) and cmath.isinf(zero_mode_coeff(150, 150, p))
+    finite = [g for g in zm.gamma if cmath.isfinite(g)]
+    assert len(finite) >= 100 and zm.gamma[:len(finite)] == tuple(finite)
+    rec = zero_mode_coeffs_recursive(150, p)
+    assert all(abs(g - want) <= 1e-12 * abs(want) for g, want in zip(finite, rec))
+    assert cmath.isinf(zm.gamma[-1])
 
 
 # ----------------------------------------------------- log-factorial table
@@ -151,7 +150,7 @@ def test_log_factorial_table_stops_at_cap():
 
 def test_state_n0_is_vacuum():
     v = zero_mode_state(0, P)
-    assert v.support() == [(0, 0)]
+    assert list(v) == [(0, 0)]
     assert v[(0, 0)] == pytest.approx(1.0)
 
 
@@ -183,7 +182,7 @@ def test_annihilation(rng):
 def test_state_support_is_even_level():
     for n in (2, 5):
         v = zero_mode_state(n, P)
-        assert all(2 * nn + mm == 2 * n for nn, mm in v.support())
+        assert all(2 * nn + mm == 2 * n for nn, mm in v)
 
 
 # -------------------------------------------------------- null space dims
