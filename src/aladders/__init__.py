@@ -29,7 +29,6 @@ from .chains import (
     ChainState,
     chain_state_bruteforce,
     chain_state_closed,
-    expansion_coeff,
     gram_condition,
     gram_matrix,
     ladder_factor,
@@ -41,22 +40,16 @@ from .principal import (
     PrincipalState,
     UncertaintyReport,
     b_lowering_residual,
-    binomial_ansatz_state,
     mode_occupation,
     modified_binomial,
     principal_norm_sq,
     principal_state,
-    pseudo_hermite,
     uncertainty_direct,
     uncertainty_products,
 )
 from .resolution import (
     QuadratureSpec,
-    exponential_moment,
-    exponential_moment_quad,
     fullspace_identity_check,
-    gaussian_moment,
-    gaussian_moment_quad,
     measure_weight,
     subspace_identity,
     subspace_identity_matrix,

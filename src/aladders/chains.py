@@ -128,29 +128,6 @@ def _term_logs(
     return log_mag, phase
 
 
-def expansion_coeff(n: int, nu: int, m: int, k: int, j: int, p: ModeParams) -> complex:
-    """Coefficient of |m + nu - k - j, 2(n-m) - nu + 2k + 2j> contributed by
-    the (k, j) term of the normal-ordered power acting on zero-mode ket m.
-
-    Includes the zero-mode coefficient gamma_m but not the zero-mode
-    normalization.  Indices outside their triangular ranges are rejected.
-    """
-    if n < 0 or nu < 0:
-        raise DomainError("chain indices must be >= 0")
-    if not 0 <= m <= n:
-        raise DomainError(f"m must be in 0..{n}, got {m}")
-    if not 0 <= k <= nu // 2:
-        raise DomainError(f"k must be in 0..{nu // 2}, got {k}")
-    j_lo = max(0, nu - 2 * (k + n - m))
-    j_hi = nu - 2 * k
-    if not j_lo <= j <= j_hi:
-        raise DomainError(f"j must be in {j_lo}..{j_hi}, got {j}")
-    glog, gphase = _log_coeffs(n, p)
-    log_mag, phase = _term_logs(*(np.array([i]) for i in (n, nu, m, k, j)), p,
-                                glog[m:m + 1], gphase[m:m + 1])
-    return cmath.rect(math.exp(log_mag[0]), phase[0])
-
-
 def _ragged_arange(counts: np.ndarray) -> np.ndarray:
     """arange(counts[0]), arange(counts[1]), ... concatenated."""
     ends = counts.cumsum()

@@ -10,10 +10,12 @@ the selftest makes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.polynomial.laguerre import laggauss
 
 from . import chains, position, principal, resolution, zero_modes
 from .fock import (
@@ -313,6 +315,41 @@ def slow_mode_staggering() -> bool:
 # the identity over every level subspace up to a cutoff.
 IDENTITY_TOL = 1e-8
 
+STATE_IDENTITY_TOL = 1e-12
+
+
+def state_identity_deviation(nu_max: int) -> float:
+    """Worst |M - I| over every entry of M = integral of mu_nu N_nu |psi><psi|
+    over alpha and beta, on each level nu <= nu_max, from the principal
+    states themselves.
+
+    With u = |alpha| and t = |beta|^2/4, d^2alpha d^2beta = 2 u du dt
+    darg(alpha) darg(beta).  Over the rule's weight e^-(u + t), every
+    radial integrand is a polynomial of degree <= nu, so nu//2 + 1
+    Gauss-Laguerre nodes are exact.  The trapezoid rule on nu//2 + 2 values
+    of arg alpha cancels every phase e^{i(l - k) arg alpha}, |l - k| <= nu/2,
+    of an off-diagonal entry; nothing else depends on arg beta, which gives
+    2 pi.
+    """
+    worst = 0.0
+    for nu in range(nu_max + 1):
+        x, w = laggauss(nu // 2 + 1)
+        args = 2.0 * math.pi * np.arange(nu // 2 + 2) / (nu // 2 + 2)
+        total = np.zeros((nu // 2 + 1, nu // 2 + 1), dtype=complex)
+        for u, wu in zip(x, w):
+            for t, wt in zip(x, w):
+                b = 2.0 * math.sqrt(t)
+                # e^(u + t) takes back the rule's weight, which mu_nu carries
+                radial = (2.0 * u * wu * wt * math.exp(u + t)
+                          * resolution.measure_weight(nu, u, b))
+                for arg in args:
+                    ps = principal.principal_state(nu, ModeParams(cmath.rect(u, arg), b))
+                    c = np.array(ps.coeffs)
+                    total += radial * ps.norm_sq * np.outer(c, c.conj())
+        total *= 4.0 * math.pi**2 / len(args)
+        worst = max(worst, float(np.max(np.abs(total - np.eye(nu // 2 + 1)))))
+    return worst
+
 
 LISSAJOUS_MASS_TOL = 1e-3
 TUBE_FRACTION_MIN = 0.90
@@ -363,6 +400,12 @@ def selftest_checks() -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
         bad = kernel_dimension_mismatch(params[:2], range(1, 11))
         return not bad, bad or "levels 1..10"
 
+    def identity():
+        reduced = resolution.fullspace_identity_check(4)
+        states = state_identity_deviation(4)
+        return (reduced <= IDENTITY_TOL and states <= STATE_IDENTITY_TOL,
+                f"worst deviation {reduced:.2e}, from the states {states:.2e}")
+
     return [
         ("ladder commutators", lambda: _within(
             "worst deviation", ladder_commutator_deviation(states), ALGEBRA_TOL)),
@@ -391,8 +434,7 @@ def selftest_checks() -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
             "worst overlap", principal_overlap(params, 8), ORTHOGONALITY_TOL)),
         ("lowering decomposition residual", lambda: _within(
             "worst relative residual", lowering_error(params[:2], 8), LOWERING_TOL)),
-        ("level identity by quadrature", lambda: _within(
-            "worst deviation", resolution.fullspace_identity_check(4), IDENTITY_TOL)),
+        ("level identity by quadrature", identity),
         ("vacuum density mass", lambda: _within(
             "vacuum mass error",
             vacuum_mass_error(position.Grid2D(-6.0, 6.0, -6.0, 6.0, 201, 201)),

@@ -56,6 +56,10 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise DomainError("grids need at least 2 points per axis")
+        # a NaN or infinite bound makes its span non-finite too
+        if not (math.isfinite(self.x_max - self.x_min)
+                and math.isfinite(self.y_max - self.y_min)):
+            raise DomainError("grid bounds and their spans must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise DomainError("grid bounds must be ordered")
         if self.values is not None:
@@ -96,7 +100,13 @@ def eigenfunction_table(n_max: int, omega: float, xs: np.ndarray) -> np.ndarray:
         raise DomainError(f"frequency must be > 0, got {omega}")
     xs = np.asarray(xs, dtype=float)
     table = np.zeros((n_max + 1, xs.size))
-    table[0] = (omega / math.pi) ** 0.25 * np.exp(-0.5 * omega * xs**2)
+    # beyond |x| ~ 1e154 the square overflows to inf, whose exp is the exact
+    # underflowed 0
+    with np.errstate(over="ignore"):
+        table[0] = (omega / math.pi) ** 0.25 * np.exp(-0.5 * omega * xs**2)
+    # every psi_n is 0 where psi_0 is; x = 0 there keeps the recurrence's
+    # products with x finite up to the largest double
+    xs = np.where(table[0] > 0.0, xs, 0.0)
     if n_max >= 1:
         table[1] = math.sqrt(2.0 * omega) * xs * table[0]
     for n in range(1, n_max):
@@ -148,16 +158,14 @@ def write_grid_binary(grid: Grid2D, fh: BinaryIO) -> None:
     float64 values, little-endian throughout."""
     if grid.values is None:
         raise DomainError("grid has no values")
-    header = struct.pack(
-        "<8sII4f",
-        GRID_MAGIC,
-        grid.nx,
-        grid.ny,
-        grid.x_min,
-        grid.x_max,
-        grid.y_min,
-        grid.y_max,
-    )
+    bounds = (grid.x_min, grid.x_max, grid.y_min, grid.y_max)
+    try:
+        header = struct.pack("<8sII4f", GRID_MAGIC, grid.nx, grid.ny, *bounds)
+    except OverflowError:
+        raise DomainError(
+            "the binary format holds grid bounds as float32; "
+            f"{bounds} is beyond its range"
+        ) from None
     fh.write(header)
     fh.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
 

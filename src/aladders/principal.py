@@ -69,28 +69,11 @@ def modified_binomial(n: int, k: int, t: int) -> float:
     return math.exp(log_modified_binomial(n, k, t))
 
 
-def log_pseudo_hermite(nu: int, x: float) -> float:
-    """log of H_nu(x) (all coefficients positive; x >= 0)."""
-    if nu < 0:
-        raise DomainError(f"polynomial degree must be >= 0, got {nu}")
-    if x < 0:
-        raise DomainError(f"argument must be >= 0, got {x}")
-    lf = _log_factorials(nu)
-    if x == 0.0:
-        return -math.inf if nu % 2 else float(lf[nu] - lf[nu // 2])
-    return _log_hermite(nu, math.log(2.0 * x), lf)
-
-
 def _log_hermite(nu: int, log_2x: float, lf: np.ndarray) -> float:
     """log H_nu(x) for x > 0 from log(2x), with lf[i] = log(i!) for
     i = 0..nu at least."""
     k = np.arange(nu // 2 + 1)
     return _logsumexp(lf[nu] - lf[nu - 2 * k] - lf[k] + (nu - 2 * k) * log_2x)
-
-
-def pseudo_hermite(nu: int, x: float) -> float:
-    """H_nu(x) = sum_k nu!/((nu-2k)! k!) (2x)^{nu-2k}; H_2 = 4x^2 + 2."""
-    return _exp_or_inf(log_pseudo_hermite(nu, x))
 
 
 def principal_log_norm_sq(nu: int, p: ModeParams) -> float:
@@ -227,21 +210,3 @@ def mode_occupation(v: FockVector, mode: str) -> float:
     if mode == "b":
         return b_minus(v).norm_sq() / nsq
     raise DomainError(f"mode must be 'a' or 'b', got {mode!r}")
-
-
-def binomial_ansatz_state(nu: int, a_param: complex, b_param: complex) -> FockVector:
-    """Level-2nu comparison state sum_k a^k b^{nu-k} sqrt(C(nu,k)) |k, 2(nu-k)>,
-    normalized.  Populates only even slow-mode occupations, unlike the
-    principal chain at the same energy."""
-    if nu < 0:
-        raise DomainError(f"level must be >= 0, got {nu}")
-    a_param = complex(a_param)
-    b_param = complex(b_param)
-    norm_sq = (abs(a_param) ** 2 + abs(b_param) ** 2) ** nu
-    if norm_sq == 0.0:
-        raise DomainError("binomial ansatz needs a nonzero parameter")
-    scale = norm_sq**-0.5
-    return FockVector.from_level(2 * nu, [
-        scale * a_param**k * b_param ** (nu - k) * math.sqrt(math.comb(nu, k))
-        for k in range(nu + 1)
-    ])

@@ -16,6 +16,9 @@ substituting away the measure's 1/|alpha|^{nu+1}, which cancels against the
 squared amplitudes so no singular integrand ever appears.  Every rule sum
 sum_i w_i x_i^p is taken in log space, as a log-sum-exp of log w + p log x,
 so no power of a node overflows at deep levels or large node counts.
+
+criteria.state_identity_deviation is the independent side: it integrates
+mu_nu times the principal states' projectors themselves, by numpy's rule.
 """
 
 from __future__ import annotations
@@ -27,16 +30,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .zero_modes import _exp_or_inf, _log_factorials, _logsumexp
+from .zero_modes import _log_factorials, _logsumexp
 
 # Doubling the node count must move no reported entry by more than this,
 # relative to the entry.
 CONVERGENCE_TOL = 1e-6
 
 MIN_NODES = 8
-
-# Nodes of the rule behind gaussian_moment_quad and exponential_moment_quad.
-MOMENT_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -96,40 +96,6 @@ def measure_weight(nu: int, a_mag: float, b_mag: float) -> float:
         - (nu + 1) * math.log(a_mag)
     )
     return math.exp(log_val)
-
-
-def gaussian_moment(k: int, c: float) -> float:
-    """int_0^inf x^{2k+1} exp(-c x^2) dx = k! / (2 c^{k+1})."""
-    if k < 0:
-        raise DomainError(f"moment order must be >= 0, got {k}")
-    if c <= 0.0:
-        raise DomainError(f"decay rate must be > 0, got {c}")
-    return math.exp(math.lgamma(k + 1) - math.log(2.0) - (k + 1) * math.log(c))
-
-
-def gaussian_moment_quad(k: int, c: float) -> float:
-    """Same moment via the MOMENT_NODES-point Gauss-Laguerre rule after
-    u = c x^2 (self-test path)."""
-    if k < 0 or c <= 0.0:
-        raise DomainError("need k >= 0 and c > 0")
-    return _exp_or_inf(_log_moments(MOMENT_NODES, k) - math.log(2.0) - (k + 1) * math.log(c))
-
-
-def exponential_moment(n: int, d: float) -> float:
-    """int_0^inf x^n exp(-d x) dx = n! / d^{n+1}, evaluated in log space."""
-    if n < 0:
-        raise DomainError(f"moment order must be >= 0, got {n}")
-    if d <= 0.0:
-        raise DomainError(f"decay rate must be > 0, got {d}")
-    return math.exp(math.lgamma(n + 1) - (n + 1) * math.log(d))
-
-
-def exponential_moment_quad(n: int, d: float) -> float:
-    """Same moment via the MOMENT_NODES-point Gauss-Laguerre rule after
-    u = d x (self-test path)."""
-    if n < 0 or d <= 0.0:
-        raise DomainError("need n >= 0 and d > 0")
-    return _exp_or_inf(_log_moments(MOMENT_NODES, n) - (n + 1) * math.log(d))
 
 
 def _identity_diag(nu: int, nodes_a: int, nodes_b: int) -> np.ndarray:

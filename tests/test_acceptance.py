@@ -74,11 +74,11 @@ def test_criterion_06_lowering_decomposition():
 
 
 def test_criterion_07_resolution_of_identity():
-    worst_sub, full = fullspace_identity_check(8), fullspace_identity_check(6)
-    ok = worst_sub <= C.IDENTITY_TOL and full <= C.IDENTITY_TOL
+    worst_sub, states = fullspace_identity_check(8), C.state_identity_deviation(12)
+    ok = worst_sub <= C.IDENTITY_TOL and states <= C.STATE_IDENTITY_TOL
     report(7, "resolution of the identity", ok,
            f"subspace max deviation {worst_sub:.3e} (nu <= 8), "
-           f"truncated full-space {full:.3e} (2n+m <= 6)")
+           f"from the states {states:.3e} (nu <= 12, every entry)")
 
 
 def test_criterion_08_uncertainty_products():

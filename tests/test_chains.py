@@ -13,7 +13,6 @@ from aladders.chains import (
     ChainLabel,
     chain_state_bruteforce,
     chain_state_closed,
-    expansion_coeff,
     gram_matrix,
     ladder_factor,
     lowering_decomposition,
@@ -79,21 +78,15 @@ def test_bruteforce_two_steps():
 # ------------------------------------------------------------ closed form
 
 def test_expansion_coeff_hand_values():
+    # the (nu, k, j) = (1, 0, 1), (2, 0, 2) and (2, 1, 0) terms on the vacuum
+    # (n = m = 0, gamma_0 = 1): alpha, sqrt(2) alpha^2 and alpha beta
+    zero = np.zeros(3, dtype=int)
+    log_mag, phase = chains._term_logs(
+        zero, np.array([1, 2, 2]), zero, np.array([0, 0, 1]), np.array([1, 2, 0]),
+        P, np.zeros(3), np.zeros(3))
     a, b = P.alpha, P.beta
-    assert expansion_coeff(0, 1, 0, 0, 1, P) == pytest.approx(a)
-    assert expansion_coeff(0, 2, 0, 0, 2, P) == pytest.approx(math.sqrt(2) * a * a)
-    assert expansion_coeff(0, 2, 0, 1, 0, P) == pytest.approx(a * b)
-
-
-def test_expansion_coeff_index_validation():
-    with pytest.raises(DomainError):
-        expansion_coeff(0, 1, 1, 0, 1, P)  # m > n
-    with pytest.raises(DomainError):
-        expansion_coeff(0, 2, 0, 2, 0, P)  # k > nu//2
-    with pytest.raises(DomainError):
-        expansion_coeff(0, 2, 0, 0, 3, P)  # j > nu - 2k
-    with pytest.raises(DomainError):
-        expansion_coeff(1, 4, 0, 0, 1, P)  # j below its lower clamp
+    want = [a, math.sqrt(2) * a * a, a * b]
+    assert np.allclose(np.exp(log_mag + 1j * phase), want, rtol=1e-14, atol=0)
 
 
 def test_closed_matches_bruteforce(rng):

@@ -52,6 +52,16 @@ def test_odd_states_vanish_at_origin():
         assert abs(table[n, 0]) < 1e-300
 
 
+def test_eigenfunctions_at_huge_finite_x():
+    # psi_0 underflows to 0 there, and so does every psi_n, with no overflow
+    # in x^2 or in x times a table row (an error under pytest's filters)
+    xs = np.array([-1.7e308, -1e200, -2.0, 0.5, 1e160, 1.7e308])
+    for omega in (1.0, 2.0):
+        table = eigenfunction_table(40, omega, xs)
+        assert np.all(table[:, [0, 1, 4, 5]] == 0.0)
+        assert np.array_equal(table[:, 2:4], eigenfunction_table(40, omega, xs[2:4]))
+
+
 def test_eigenfunction_recurrence_cap():
     xs = np.linspace(-1, 1, 5)
     eigenfunction_table(RECURRENCE_MAX, 1.0, xs)
@@ -96,6 +106,11 @@ def test_grid_validation():
         Grid2D(1, 0, 0, 1, 10, 10)
     with pytest.raises(DomainError):
         Grid2D(0, 1, 0, 1, 4, 4, values=np.zeros((3, 3)))
+    # an infinite bound is ordered, and a span beyond a double gives NaN points
+    for bounds in ((0, 1, 0, math.inf), (-math.inf, 1, 0, 1), (0, 1, math.nan, 1),
+                   (-1e308, 1e308, 0, 1), (0, 1, -1e308, 1e308)):
+        with pytest.raises(DomainError, match="must be finite"):
+            Grid2D(*bounds, 4, 4)
 
 
 def test_vacuum_density_peak_and_mass():
@@ -221,6 +236,18 @@ def test_binary_rejects_corruption(rng):
         read_grid_binary(io.BytesIO(b"NOTAGRID" + raw[8:]))
     with pytest.raises(DomainError):
         read_grid_binary(io.BytesIO(raw[:-16]))  # truncated payload
+
+
+def test_binary_refuses_bounds_beyond_float32():
+    # the header holds the bounds as float32; 3.4028235e38 rounds to its
+    # largest finite value, 1e39 is past it
+    values = np.zeros((2, 2))
+    write_grid_binary(Grid2D(0, 1, 0, 3.4028235e38, 2, 2, values), io.BytesIO())
+    for bounds in ((0, 1, 0, 1e39), (-1e39, 1, 0, 1)):
+        buf = io.BytesIO()
+        with pytest.raises(DomainError, match="float32"):
+            write_grid_binary(Grid2D(*bounds, 2, 2, values), buf)
+        assert buf.getvalue() == b""
 
 
 def test_write_requires_values():

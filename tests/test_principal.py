@@ -1,4 +1,4 @@
-"""Principal chain closed forms: norms, uncertainties, comparison state."""
+"""Principal chain closed forms: norms and uncertainties."""
 
 from __future__ import annotations
 
@@ -16,20 +16,20 @@ from aladders.fock import FockVector, apply_momentum, apply_position, inner
 from aladders.operators import ModeParams, apply_raising
 from aladders.principal import (
     PrincipalState,
+    _log_hermite,
     b_lowering_residual,
-    binomial_ansatz_state,
     log_modified_binomial,
-    log_pseudo_hermite,
     mode_occupation,
     modified_binomial,
     principal_log_norm_sq,
     principal_norm_sq,
     principal_state,
-    pseudo_hermite,
     uncertainty_direct,
     uncertainty_products,
 )
-from aladders.zero_modes import _LOG_FACTORIAL_CAP, zero_mode_state
+from aladders.zero_modes import (
+    _LOG_FACTORIAL_CAP, _exp_or_inf, _log_factorials, zero_mode_state,
+)
 
 from conftest import random_params
 
@@ -65,6 +65,11 @@ def test_modified_binomial_t1_is_binomial(n, k):
 
 # ------------------------------------------------------- pseudo Hermite
 
+def pseudo_hermite(nu: int, x: float) -> float:
+    """H_nu(x) from its log, inf beyond a double."""
+    return _exp_or_inf(_log_hermite(nu, math.log(2.0 * x), _log_factorials(nu)))
+
+
 def test_pseudo_hermite_low_orders():
     # all-plus-sign analogues: h0=1, h1=2x, h2=4x^2+2, h3=8x^3+12x
     for x in (0.3, 1.7):
@@ -75,19 +80,18 @@ def test_pseudo_hermite_low_orders():
 
 
 def test_pseudo_hermite_at_zero():
-    # only the k = nu/2 term survives at x = 0
-    assert pseudo_hermite(2, 0.0) == pytest.approx(2.0)
-    assert pseudo_hermite(4, 0.0) == pytest.approx(12.0)
-    assert pseudo_hermite(3, 0.0) == pytest.approx(0.0)
-    assert log_pseudo_hermite(3, 0.0) == -math.inf
+    # only the k = nu//2 term survives as x -> 0: H_nu(0) on even levels,
+    # the linear term 12x of H_3 on odd ones
+    assert pseudo_hermite(2, 1e-200) == pytest.approx(2.0)
+    assert pseudo_hermite(4, 1e-200) == pytest.approx(12.0)
+    assert pseudo_hermite(3, 1e-200) == pytest.approx(12e-200)
 
 
 def test_pseudo_hermite_positivity(rng):
     for _ in range(20):
         nu = int(rng.integers(0, 40))
-        x = float(rng.uniform(0, 5))
-        val = pseudo_hermite(nu, x)
-        assert val > 0 or (x == 0 and nu % 2 == 1)
+        x = float(rng.uniform(1e-3, 5))
+        assert pseudo_hermite(nu, x) > 0
 
 
 # ------------------------------------------------------------ norms
@@ -292,31 +296,3 @@ def test_mode_occupation(rng):
     ps = principal_state(6, p).to_fock()
     assert 2 * mode_occupation(ps, "a") + mode_occupation(ps, "b") == \
         pytest.approx(6.0, rel=1e-10)
-
-
-# ------------------------------------------------------- comparison state
-
-def test_binomial_ansatz_low_levels():
-    a_param, b_param = 0.6 + 0.1j, 1.2 - 0.3j
-    v1 = binomial_ansatz_state(1, a_param, b_param)
-    want = FockVector({(1, 0): a_param, (0, 2): b_param}).normalized()
-    assert (v1 - want).norm() < 1e-14
-    v0 = binomial_ansatz_state(0, a_param, b_param)
-    assert list(v0) == [(0, 0)]
-
-
-def test_binomial_ansatz_support():
-    v = binomial_ansatz_state(5, 1.0, 1.0)
-    assert list(v) == [(k, 2 * (5 - k)) for k in range(6)]
-    assert v.norm() == pytest.approx(1.0)
-    assert all(m % 2 == 0 for _, m in v)
-
-
-def test_binomial_ansatz_differs_from_principal():
-    # same level-count, different family: overlap with the principal state of
-    # the matching level is generically strictly below 1
-    p = ModeParams(alpha=1.0, beta=1.0)
-    ps = principal_state(6, p).to_fock()
-    bs = binomial_ansatz_state(3, 1.0, 1.0)
-    ov = abs(inner(ps, bs))
-    assert ov < 0.999

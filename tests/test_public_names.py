@@ -1,0 +1,40 @@
+"""Every name the package exports has a use outside the tests."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "aladders"
+
+
+def exported_names() -> list[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Names a module loads, reads as an attribute or imports; a definition
+    is none of these, and neither is a docstring or a comment."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_every_export_is_used_outside_the_tests():
+    code = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    code += sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    used = set().union(*map(referenced_names, code))
+    readme = (ROOT / "README.md").read_text()
+    unused = [name for name in exported_names()
+              if name not in used and not re.search(rf"\b{name}\b", readme)]
+    assert unused == []

@@ -8,17 +8,15 @@ import numpy as np
 import pytest
 from scipy.special import roots_laguerre
 
+from aladders import resolution
+from aladders.criteria import STATE_IDENTITY_TOL, state_identity_deviation
 from aladders.errors import ConvergenceError, DomainError
 from aladders.operators import ModeParams
 from aladders.principal import modified_binomial, principal_norm_sq
 from aladders.resolution import (
     QuadratureSpec,
     _log_moments,
-    exponential_moment,
-    exponential_moment_quad,
     fullspace_identity_check,
-    gaussian_moment,
-    gaussian_moment_quad,
     measure_weight,
     subspace_identity,
     subspace_identity_matrix,
@@ -27,32 +25,19 @@ from aladders.resolution import (
 
 # --------------------------------------------------------------- moments
 
-def test_gaussian_moment_hand_values():
-    # int_0^inf x^{2k+1} e^{-c x^2} dx = k! / (2 c^{k+1})
-    assert gaussian_moment(0, 1.0) == pytest.approx(0.5)
-    assert gaussian_moment(1, 0.5) == pytest.approx(1 / (2 * 0.25))
-    assert gaussian_moment(3, 1.0) == pytest.approx(6 / 2)
-
-
 def test_exponential_moment_hand_values():
-    # int_0^inf x^n e^{-d x} dx = n! / d^{n+1}
-    assert exponential_moment(0, 1.0) == pytest.approx(1.0)
-    assert exponential_moment(3, 1.0) == pytest.approx(6.0)
-    assert exponential_moment(10, 2.0) == pytest.approx(
-        math.factorial(10) / 2**11)
+    # int_0^inf x^n e^-x dx = n!
+    assert math.exp(_log_moments(8, 0)) == pytest.approx(1.0, rel=1e-14)
+    assert math.exp(_log_moments(8, 3)) == pytest.approx(6.0, rel=1e-14)
+    assert math.exp(_log_moments(64, 10)) == pytest.approx(math.factorial(10), rel=1e-13)
 
 
 def test_moment_quadrature_matches_closed_form():
-    for c in (0.25, 1.0, 4.0):
-        for k in range(0, 21, 4):
-            want = gaussian_moment(k, c)
-            got = gaussian_moment_quad(k, c)
-            assert got == pytest.approx(want, rel=1e-12)
-    for d in (0.5, 1.0, 3.0):
-        for n in range(0, 21, 4):
-            want = exponential_moment(n, d)
-            got = exponential_moment_quad(n, d)
-            assert got == pytest.approx(want, rel=1e-12)
+    # the n-point rule is exact for every power below 2n
+    for nodes in (8, 64, 128):
+        powers = np.arange(2 * nodes)
+        want = np.array([math.lgamma(p + 1) for p in powers])
+        assert np.max(np.abs(np.expm1(_log_moments(nodes, powers) - want))) < 1e-12
 
 
 def test_log_moments_match_the_linear_rule_sum():
@@ -67,15 +52,6 @@ def test_log_moments_match_the_linear_rule_sum():
         assert finite[:100].all()
         assert np.allclose(np.exp(logs[finite]), ref[finite], rtol=1e-12, atol=0)
         assert _log_moments(nodes, 7) == pytest.approx(logs[7], rel=1e-14)
-
-
-def test_moment_domain_errors():
-    with pytest.raises(DomainError):
-        gaussian_moment(-1, 1.0)
-    with pytest.raises(DomainError):
-        gaussian_moment(2, 0.0)
-    with pytest.raises(DomainError):
-        exponential_moment(2, -1.0)
 
 
 # ---------------------------------------------------------------- measure
@@ -97,23 +73,20 @@ def test_measure_weight_positive_and_guarded():
         measure_weight(2, 1.0, -0.5)
 
 
-def test_measure_term_cancellation():
-    # per-term cancellation behind the identity: for every k the weighted
-    # double radial integral of |alpha|^{2(nu-k)+1} |beta|^{2k+1} mu_nu times
-    # 4 pi^2 nu!/((nu-2k)! k! 4^k) collapses to exactly 1
-    for nu in range(0, 11):
-        for k in range(nu // 2 + 1):
-            pref = (4 * math.pi**2 * math.factorial(nu)
-                    / (math.factorial(nu - 2 * k) * math.factorial(k) * 4**k))
-            mu_front = 1.0 / (8 * math.pi**2 * math.factorial(nu))
-            closed = (pref * mu_front
-                      * exponential_moment(nu - 2 * k, 1.0)
-                      * gaussian_moment(k, 0.25))
-            assert closed == pytest.approx(1.0, rel=1e-12)
-            quad = (pref * mu_front
-                    * exponential_moment_quad(nu - 2 * k, 1.0)
-                    * gaussian_moment_quad(k, 0.25))
-            assert quad == pytest.approx(1.0, rel=1e-10)
+def test_state_identity_deviation_within_bound():
+    # mu_nu N_nu |psi><psi| integrated over alpha and beta is the identity on
+    # each level, off-diagonal entries included
+    assert state_identity_deviation(0) < 1e-15
+    assert state_identity_deviation(9) <= STATE_IDENTITY_TOL
+
+
+def test_state_identity_sees_a_wrong_measure(monkeypatch):
+    # the oracle reads the measure it is handed: 1% too much shows as 1e-2
+    weight = resolution.measure_weight
+    monkeypatch.setattr(resolution, "measure_weight", lambda *a: 1.01 * weight(*a))
+    deviation = state_identity_deviation(4)
+    assert deviation > STATE_IDENTITY_TOL
+    assert deviation == pytest.approx(0.01, rel=1e-9)
 
 
 # --------------------------------------------------- subspace identity
