@@ -12,7 +12,6 @@ from .fock import (
     apply_position,
     b_minus,
     b_plus,
-    drop_tolerance,
     inner,
     level_basis,
 )

@@ -36,7 +36,7 @@ from .errors import DomainError, IllConditionedError
 from .fock import FockVector
 from .operators import ModeParams
 from .zero_modes import (
-    _exp_or_inf, _log_coeffs, _log_factorials, _logsumexp, _zero_mode_array,
+    _exp_or_inf, _log_coeffs, _log_factorials, _logsumexp, _unit_amplitudes,
 )
 
 # Lowering solves whose Gram condition, cond(C)^2, exceeds this are refused.
@@ -75,15 +75,13 @@ class ChainState:
     log_norm_sq: float
 
 
-def chain_state_bruteforce(label: ChainLabel, p: ModeParams) -> ChainState:
-    """Raise the zero mode's level array level times, renormalizing each
-    step, and prune once, when the vector is built.
-
-    The per-step norms are accumulated in log space, so norm_sq matches the
-    single unnormalized construction without intermediate overflow.
-    """
+def _raised_chain(label: ChainLabel, p: ModeParams) -> tuple[np.ndarray, float]:
+    """The unit level array of the chain, before any pruning, and the log
+    squared norm of its unnormalized construction: the zero mode raised
+    level times, renormalized each step, with the step norms accumulated in
+    log space, so nothing overflows."""
     level = label.chain
-    amps = _zero_mode_array(label.chain // 2, p)
+    amps = np.array(_unit_amplitudes(*_log_coeffs(label.chain // 2, p)))
     log_norm_sq = 0.0
     for _ in range(label.level):
         amps = _raise_level(amps, level, p)
@@ -93,7 +91,13 @@ def chain_state_bruteforce(label: ChainLabel, p: ModeParams) -> ChainState:
             raise DomainError(f"chain {label} terminates (zero raised state)")
         amps /= step
         log_norm_sq += 2.0 * math.log(step)
-    return ChainState(label, FockVector.from_level(level, amps),
+    return amps, log_norm_sq
+
+
+def chain_state_bruteforce(label: ChainLabel, p: ModeParams) -> ChainState:
+    """Brute-force chain state: _raised_chain, pruned once, as a vector."""
+    amps, log_norm_sq = _raised_chain(label, p)
+    return ChainState(label, FockVector.from_level(label.chain + label.level, amps),
                       _exp_or_inf(log_norm_sq), log_norm_sq)
 
 

@@ -15,6 +15,7 @@ import cmath
 import contextlib
 import json
 import math
+import os
 import sys
 
 from . import chains, fock, position, principal, resolution, zero_modes
@@ -109,12 +110,25 @@ def _apply_config(parser: _Parser, args: argparse.Namespace,
 
 @contextlib.contextmanager
 def _out_stream(path: str | None, binary: bool = False):
+    """Stdout for no path or '-'.  A file is replaced only when the block
+    returns, so a refused run leaves it as it was."""
     if path is None or path == "-":
         yield sys.stdout.buffer if binary else sys.stdout
-    else:
-        mode = "wb" if binary else "w"
-        with open(path, mode) as fh:
+        return
+    target = tmp = path  # a device or pipe is written in place
+    if os.path.isfile(path) or not os.path.exists(path):
+        target = os.path.realpath(path)  # a symlink keeps its target
+        tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb" if binary else "w") as fh:
             yield fh
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}")
+    finally:
+        if tmp != target:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 def _dump_json(obj, fh) -> None:
@@ -163,7 +177,8 @@ def _add_common(sub):
 def _add_drop_tol(sub):
     # only chain and density print a pruned vector; the other subcommands
     # compute on unpruned arrays, where a drop tolerance changes nothing
-    sub.add_argument("--drop-tol", dest="drop_tol", type=float, default=None,
+    sub.add_argument("--drop-tol", dest="drop_tol", type=float,
+                     default=fock.DEFAULT_DROP_TOL,
                      help="sparse amplitude drop tolerance (default 1e-14)")
 
 
@@ -245,18 +260,20 @@ def _cmd_zero_modes(args) -> int:
 def _cmd_chain(args) -> int:
     label = chains.ChainLabel(args.chain, args.level)
     p = ModeParams(args.alpha, args.beta)
-    build = (
-        chains.chain_state_closed if args.method == "closed"
-        else chains.chain_state_bruteforce
-    )
-    state = build(label, p)
+    if args.method == "closed":
+        block, logs = chains._level_block([label], p)
+        amps, log_norm_sq = block[:, 0], float(logs[0])
+    else:
+        amps, log_norm_sq = chains._raised_chain(label, p)
+    vec = fock.FockVector.from_level(label.chain + label.level, amps, args.drop_tol)
+    norm_sq = zero_modes._exp_or_inf(log_norm_sq)
     payload = {
         "chain": label.chain,
         "level": label.level,
         # null where the squared norm is beyond a double, so stdout stays JSON
-        "norm_sq": state.norm_sq if math.isfinite(state.norm_sq) else None,
-        "log_norm_sq": state.log_norm_sq,
-        "vector": state.vector.to_records(),
+        "norm_sq": norm_sq if math.isfinite(norm_sq) else None,
+        "log_norm_sq": log_norm_sq,
+        "vector": vec.to_records(),
     }
     with _out_stream(args.out) as fh:
         _dump_json(payload, fh)
@@ -301,10 +318,11 @@ def _cmd_uncertainty(args) -> int:
     if args.nu_max < 0:
         raise DomainError(f"--nu-max must be >= 0, got {args.nu_max}")
     p = ModeParams(args.alpha, args.beta)
+    # every row before the first write, so a refused level leaves no part
+    reps = [principal.uncertainty_products(nu, p) for nu in range(args.nu_max + 1)]
     with _out_stream(args.out) as fh:
         fh.write("nu,product_a,product_b\n")
-        for nu in range(args.nu_max + 1):
-            rep = principal.uncertainty_products(nu, p)
+        for rep in reps:
             fh.write(f"{rep.nu},{rep.product_a!r},{rep.product_b!r}\n")
     return EXIT_OK
 
@@ -331,9 +349,10 @@ def _cmd_density(args) -> int:
         )
     p = ModeParams(args.alpha, args.beta)
     if args.chain == 0:
-        vec = principal.principal_state(args.level, p).to_fock()
+        amps = principal.principal_state(args.level, p).coeffs
     else:
-        vec = chains.chain_state_closed(chains.ChainLabel(args.chain, args.level), p).vector
+        amps = chains._level_block([chains.ChainLabel(args.chain, args.level)], p)[0][:, 0]
+    vec = fock.FockVector.from_level(args.chain + args.level, amps, args.drop_tol)
     geom = position.Grid2D(args.xmin, args.xmax, args.ymin, args.ymax, args.nx, args.ny)
     grid = position.density_grid(vec, geom)
     if args.format == "bin":
@@ -386,9 +405,7 @@ def run(argv: list[str]) -> int:
             return EXIT_USAGE
         args = _apply_config(parser, args, argv)
         _check_required(args)
-        tol = getattr(args, "drop_tol", None)
-        with fock.drop_tolerance(tol) if tol is not None else contextlib.nullcontext():
-            return _HANDLERS[args.command](args)
+        return _HANDLERS[args.command](args)
     except _UsageError as exc:
         if not exc.reported:
             print(f"usage error: {exc}", file=sys.stderr)

@@ -185,19 +185,19 @@ CHAIN_TOL = 1e-9
 
 
 def chain_oracle_error(params: Iterable[ModeParams], chain_max: int, level_max: int) -> float:
-    """Worst relative gap between closed-form and brute-force chain states,
-    in amplitudes and in log squared norms, over chain <= chain_max and
-    level <= level_max."""
+    """Worst relative gap between the unpruned closed-form and brute-force
+    chain arrays, in amplitudes and in log squared norms, over
+    chain <= chain_max and level <= level_max."""
     worst = 0.0
     for p in params:
         for chain in range(0, chain_max + 1, 2):
             for level in range(level_max + 1):
                 label = chains.ChainLabel(chain, level)
-                brute = chains.chain_state_bruteforce(label, p)
-                closed = chains.chain_state_closed(label, p)
-                amp = (closed.vector - brute.vector).max_abs()
-                worst = max(worst, amp / brute.vector.max_abs())
-                worst = max(worst, abs(closed.log_norm_sq - brute.log_norm_sq))
+                brute, brute_log = chains._raised_chain(label, p)
+                closed, closed_log = chains._level_block([label], p)
+                amp = np.abs(closed[:, 0] - brute).max()
+                worst = max(worst, amp / np.abs(brute).max(),
+                            abs(float(closed_log[0]) - brute_log))
     return worst
 
 

@@ -6,44 +6,25 @@ Hamiltonian H = 2 a+a- + b+b- + 3/2 has eigenvalue 2n + m + 3/2, so states
 organise into levels nu = 2n + m of energy nu + 3/2.
 
 Kets are plain (n, m) tuples; vectors are immutable sparse maps from kets to
-complex amplitudes.  Amplitudes below a drop tolerance are pruned after every
-operation and iteration order is always lexicographic in (n, m), which keeps
-serialized output stable.
+complex amplitudes.  The algebra is exact: every operation keeps each nonzero
+amplitude, and drops only entries that are exactly 0.  Small amplitudes are
+pruned in one place, FockVector.from_level, where a dense level array becomes
+a sparse vector, at the drop tolerance passed to it.  Iteration order is
+always lexicographic in (n, m), which keeps serialized output stable.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-from contextvars import ContextVar
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DomainError
 
 FockIndex = tuple[int, int]
 
-# Amplitudes with |a| < drop tolerance are discarded when a vector is built.
-# Overridable for a block of code with drop_tolerance (the CLI's chain and
-# density expose --drop-tol).
+# FockVector.from_level drops level amplitudes with |a| below this unless
+# told otherwise (the CLI's chain and density expose it as --drop-tol).
 DEFAULT_DROP_TOL = 1e-14
-
-_drop_tol: ContextVar[float] = ContextVar("drop_tol", default=DEFAULT_DROP_TOL)
-
-
-@contextlib.contextmanager
-def drop_tolerance(tol: float):
-    """Within the block, every vector built prunes amplitudes below ``tol``;
-    the previous tolerance returns on exit.
-
-    The setting is local to the current thread or asyncio task.
-    """
-    if not tol >= 0.0:
-        raise DomainError(f"drop tolerance must be >= 0, got {tol}")
-    token = _drop_tol.set(float(tol))
-    try:
-        yield
-    finally:
-        _drop_tol.reset(token)
 
 
 def _check_index(key) -> FockIndex:
@@ -72,21 +53,19 @@ class FockVector:
     """Immutable sparse vector over two-mode Fock kets.
 
     Construct from a mapping {(n, m): amplitude} or an iterable of
-    ((n, m), amplitude) pairs; duplicate keys are summed.  Entries whose
-    magnitude ends up below the drop tolerance are dropped; this constructor
-    is the one place that reads it.
+    ((n, m), amplitude) pairs; duplicate keys are summed, and entries that
+    end up exactly 0 are dropped.
     """
 
     __slots__ = ("_amp",)
 
     def __init__(self, amplitudes: Union[Mapping[FockIndex, complex], Iterable] = ()):
-        tol = _drop_tol.get()
         items = amplitudes.items() if hasattr(amplitudes, "items") else amplitudes
         merged: dict[FockIndex, complex] = {}
         for key, value in items:
             idx = _check_index(key)
             merged[idx] = merged.get(idx, 0j) + complex(value)
-        amp = {idx: v for idx, v in sorted(merged.items()) if abs(v) >= tol and v != 0}
+        amp = {idx: v for idx, v in sorted(merged.items()) if v != 0}
         object.__setattr__(self, "_amp", amp)
 
     def __setattr__(self, name, value):
@@ -98,12 +77,16 @@ class FockVector:
         return cls({(n, m): 1.0 + 0j})
 
     @classmethod
-    def from_level(cls, level: int, amps: Sequence[complex]) -> "FockVector":
-        """The vector whose amplitudes over level_basis(level) are amps."""
+    def from_level(cls, level: int, amps: Sequence[complex],
+                   drop_tol: float = DEFAULT_DROP_TOL) -> "FockVector":
+        """The vector whose amplitudes over level_basis(level) are amps,
+        less those with |a| < drop_tol."""
+        if not drop_tol >= 0.0:
+            raise DomainError(f"drop tolerance must be >= 0, got {drop_tol}")
         basis = level_basis(level)
         if len(amps) != len(basis):
             raise DomainError(f"level {level} needs {len(basis)} amplitudes, got {len(amps)}")
-        return cls(zip(basis, amps))
+        return cls((k, a) for k, a in zip(basis, amps) if abs(a) >= drop_tol)
 
     def items(self) -> Iterator[tuple[FockIndex, complex]]:
         return iter(self._amp.items())

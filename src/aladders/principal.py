@@ -47,7 +47,7 @@ from .fock import (
     inner,
 )
 from .operators import ModeParams
-from .zero_modes import _exp_or_inf, _log_factorials, _logsumexp
+from .zero_modes import _exp_or_inf, _log_factorials, _logsumexp, _unit_amplitudes
 
 
 def log_modified_binomial(n: int, k: int, t: int) -> float:
@@ -126,12 +126,7 @@ def principal_state(nu: int, p: ModeParams) -> PrincipalState:
     log_b2 = lf[nu] - lf[k] - lf[nu - 2 * k] - 2.0 * k * math.log(2.0)
     log_mag = (nu - k) * math.log(abs(p.alpha)) + k * math.log(abs(p.beta)) + 0.5 * log_b2
     phase = (nu - k) * cmath.phase(p.alpha) + k * cmath.phase(p.beta)
-    log_norm = _logsumexp(2.0 * log_mag)
-    coeffs = tuple(
-        cmath.rect(math.exp(lm - 0.5 * log_norm), ph)
-        for lm, ph in zip(log_mag, phase)
-    )
-    return PrincipalState(nu, coeffs, principal_norm_sq(nu, p))
+    return PrincipalState(nu, tuple(_unit_amplitudes(log_mag, phase)), principal_norm_sq(nu, p))
 
 
 def b_lowering_residual(nu: int, p: ModeParams) -> float:

@@ -150,12 +150,12 @@ def _exp_or_inf(log_value: float) -> float:
         return math.inf
 
 
-def _zero_mode_array(n: int, p: ModeParams) -> np.ndarray:
-    """The unit level-2n zero mode as an array over level_basis(2n), before
-    any pruning; index j holds gamma_j / sqrt(N), normalized in log space."""
-    log_mag, phase = _log_coeffs(n, p)
+def _unit_amplitudes(log_mag: np.ndarray, phase: np.ndarray) -> list[complex]:
+    """The unit level array exp(log_mag) e^(i phase), normalized in log
+    space, as Python complexes, before any pruning.  math.exp, not np.exp:
+    they round differently, and these amplitudes reach printed output."""
     log_mag = log_mag - 0.5 * _logsumexp(2.0 * log_mag)
-    return np.array([cmath.rect(math.exp(lm), ph) for lm, ph in zip(log_mag, phase)])
+    return [cmath.rect(math.exp(lm), ph) for lm, ph in zip(log_mag, phase)]
 
 
 def zero_mode_state(n: int, p: ModeParams) -> FockVector:
@@ -165,7 +165,7 @@ def zero_mode_state(n: int, p: ModeParams) -> FockVector:
     not overflow even when the raw gamma_j would.
     """
     n = _check_n(n)
-    return FockVector.from_level(2 * n, _zero_mode_array(n, p))
+    return FockVector.from_level(2 * n, _unit_amplitudes(*_log_coeffs(n, p)))
 
 
 def lowering_matrix(nu: int, p: ModeParams) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import aladders
-from aladders import resolution
+from aladders import chains, resolution
 from aladders.cli import (
     _REQUIRED,
     EXIT_CONVERGENCE,
@@ -157,9 +157,7 @@ def test_gram_condition_is_cond_c_squared(capsys):
     # the condition of the formed Gram matrix saturates near 1/eps (3.3e16
     # here); cond(C)^2 of the row's chains, raised without pruning, does not
     p = aladders.ModeParams(0.5, 1.0)
-    with aladders.drop_tolerance(0.0):
-        states = [aladders.chain_state_bruteforce(lab, p) for lab in aladders.row_labels(13)]
-    c = np.array([[st.vector[k] for st in states] for k in aladders.level_basis(13)])
+    c = np.array([chains._raised_chain(lab, p)[0] for lab in aladders.row_labels(13)]).T
     s = np.linalg.svd(c, compute_uv=False)
     data = run_json(capsys, ["gram", "--row", "13", "--alpha", "0.5", "--beta", "1"])
     assert data["condition"] == pytest.approx((s[0] / s[-1]) ** 2, rel=1e-3)
@@ -224,6 +222,38 @@ def test_density_binary_deterministic(tmp_path, capsys):
     assert (grid.nx, grid.ny) == (16, 18)
     assert grid.values.min() >= 0.0
     assert grid.values.sum() > 0.0
+
+
+def test_refused_density_leaves_out_file_as_it_was(tmp_path, capsys):
+    out = tmp_path / "grid.bin"
+    out.write_bytes(b"hello")
+    code = run(["density", "--level", "2", "--alpha", "1", "--beta", "1",
+                "--nx", "3", "--ny", "3", "--format", "bin", "--ymax", "1e39",
+                "--out", str(out)])
+    assert code == EXIT_DOMAIN
+    capsys.readouterr()
+    assert out.read_bytes() == b"hello"
+    assert os.listdir(tmp_path) == ["grid.bin"]  # no temporary file left
+
+
+def test_refused_uncertainty_writes_no_rows(tmp_path, capsys):
+    # level 0 is served at alpha = 0 and level 1 is refused
+    argv = ["uncertainty", "--nu-max", "3", "--alpha", "0", "--beta", "1"]
+    assert run(argv) == EXIT_DOMAIN
+    assert capsys.readouterr().out == ""
+    assert run([*argv, "--out", str(tmp_path / "products.csv")]) == EXIT_DOMAIN
+    capsys.readouterr()
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_unwritable_out_is_a_usage_error(where, tmp_path, capsys):
+    path = tmp_path / where
+    code = run(["chain", "--chain", "0", "--level", "2", "--alpha", "1",
+                "--beta", "1", "--out", str(path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"usage error: cannot write {path}:")
+    assert os.listdir(tmp_path) == []
 
 
 def test_density_norm_beyond_double(capsys):
@@ -512,3 +542,7 @@ def test_drop_tol_flag(capsys):
     assert len(coarse["vector"]) == 5
     # the flag holds for its own invocation only
     assert len(run_json(capsys, chain)["vector"]) == 6
+    for bad in ("-1", "nan"):
+        assert run([*chain, "--drop-tol", bad]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err == f"domain error: drop tolerance must be >= 0, got {float(bad)}\n"

@@ -19,7 +19,6 @@ from aladders.fock import (
     apply_position,
     b_minus,
     b_plus,
-    drop_tolerance,
     inner,
     level_basis,
 )
@@ -164,25 +163,29 @@ def test_quadrature_commutators(rng):
 def test_constructor_merges_and_prunes():
     v = FockVector({(0, 0): 1.0})
     w = v + FockVector({(0, 0): -1.0, (1, 0): 1e-20})
-    assert not w  # both entries fall below the drop tolerance
-    assert len(w) == 0
+    assert list(w) == [(1, 0)]  # exact cancellation drops; 1e-20 stays
+    assert len(FockVector([((0, 0), 0.5), ((0, 0), -0.5)])) == 0
+    # from_level is the one place that prunes small amplitudes
+    assert list(FockVector.from_level(2, [1.0, 1e-15])) == [(0, 2)]
 
 
 def test_drop_tolerance_is_configurable():
-    with drop_tolerance(1e-3):
-        assert len(FockVector({(0, 0): 1e-4})) == 0
-        assert len(FockVector({(0, 0): 1e-2})) == 1
-        with drop_tolerance(0.0):
-            assert len(FockVector({(0, 0): 1e-4})) == 1
-            assert len(FockVector({(0, 0): 1e-300})) == 1
-        assert len(FockVector({(0, 0): 1e-4})) == 0  # the outer block again
-        # operations build new vectors, which read the tolerance in force
-        assert len(a_plus(FockVector.from_level(0, [1e-2]))) == 1
-        assert len(0.01 * FockVector({(0, 0): 1e-2})) == 0
-    assert len(FockVector({(0, 0): 1e-4})) == 1  # reverted on exit
-    with pytest.raises(DomainError):
-        with drop_tolerance(-1.0):
-            pass
+    assert len(FockVector.from_level(0, [1e-4], drop_tol=1e-3)) == 0
+    assert len(FockVector.from_level(0, [1e-2], drop_tol=1e-3)) == 1
+    assert len(FockVector.from_level(0, [1e-4], drop_tol=0.0)) == 1
+    assert len(FockVector.from_level(0, [1e-300], drop_tol=0.0)) == 1
+    assert len(FockVector.from_level(0, [0.0], drop_tol=0.0)) == 0
+    for bad in (-1.0, math.nan):
+        with pytest.raises(DomainError, match="drop tolerance must be >= 0"):
+            FockVector.from_level(0, [1.0], drop_tol=bad)
+
+
+def test_algebra_keeps_tiny_amplitudes():
+    tiny = FockVector({(0, 0): 1e-20})
+    assert list(tiny) == [(0, 0)]
+    assert list(a_plus(tiny)) == [(1, 0)]
+    assert len(FockVector.from_level(0, [1e-20])) == 0
+    assert list(FockVector.from_level(0, [1e-20], drop_tol=0.0)) == [(0, 0)]
 
 
 def test_vector_is_immutable():

@@ -1,4 +1,5 @@
-"""Every name the package exports has a use outside the tests."""
+"""Every name the package exports has a use outside the tests, and the
+package holds no hidden state."""
 
 from __future__ import annotations
 
@@ -38,3 +39,32 @@ def test_every_export_is_used_outside_the_tests():
     unused = [name for name in exported_names()
               if name not in used and not re.search(rf"\b{name}\b", readme)]
     assert unused == []
+
+
+def test_no_hidden_state():
+    """No context or thread-local variables, and the one global statement
+    fills the read-only log-factorial memo."""
+    imported, local, writers = set(), [], []
+
+    def visit(node, module, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                imported.update(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                imported.add(child.module)
+                if child.module == "threading":
+                    local.extend(a.name for a in child.names if a.name == "local")
+            elif isinstance(child, ast.Attribute) and child.attr == "local":
+                local.append(ast.unparse(child))
+            elif isinstance(child, ast.Global):
+                writers.append(f"{module}.{func}")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+            else:
+                visit(child, module, func)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert "contextvars" not in imported
+    assert local == []
+    assert writers == ["zero_modes._log_factorials"]
