@@ -2,7 +2,7 @@
 
 Subcommands map one-to-one onto the library: zero-modes, chain, gram, lower,
 uncertainty, resolution, density, selftest.  Output is deterministic: the
-same argv and config file always produce byte-identical bytes.
+same argv always produces byte-identical bytes.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 convergence error,
 4 ill-conditioned linear system, 5 selftest failure.
@@ -39,9 +39,6 @@ exit codes:
   3  convergence error (quadrature drifted on node doubling)
   4  ill-conditioned Gram system
   5  selftest failure
-
-a config file (--config PATH) holds 'key = value' lines mirroring the long
-flags of the chosen subcommand; explicit flags win over the file.
 """
 
 
@@ -73,39 +70,6 @@ def parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(
             f"cannot parse complex value {text!r}; use 're,im' or 'mag@phase_rad'"
         )
-
-
-def _load_config(path: str) -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = line.split("=", 1)
-                pairs[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise _UsageError(f"cannot read config {path}: {exc}")
-    return pairs
-
-
-def _apply_config(parser: _Parser, args: argparse.Namespace,
-                  argv: list[str]) -> argparse.Namespace:
-    """Parse again with the config file's pairs as flags ahead of argv, so
-    they pass the same types and choices and the explicit flags win."""
-    if not getattr(args, "config", None):
-        return args
-    flags = []
-    for key, raw in _load_config(args.config).items():
-        if key == "config":
-            continue
-        if key == "command" or not hasattr(args, key):
-            raise _UsageError(f"config key {key!r} does not match a flag")
-        flags.append(f"--{key.replace('_', '-')}={raw}")
-    return parser.parse_args([args.command, *flags, *argv[1:]])
 
 
 @contextlib.contextmanager
@@ -140,38 +104,15 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-# flags a subcommand cannot run without; enforced only after the config file
-# has been merged, so either source may supply them
-_REQUIRED = {
-    "zero-modes": ("n", "alpha", "beta"),
-    "chain": ("chain", "level", "alpha", "beta"),
-    "gram": ("row", "alpha", "beta"),
-    "lower": ("chain", "level", "alpha", "beta"),
-    "uncertainty": ("nu_max", "alpha", "beta"),
-    "resolution": ("nu",),
-    "density": ("level", "alpha", "beta"),
-    "selftest": (),
-}
-
-
-def _check_required(args: argparse.Namespace) -> None:
-    missing = [name for name in _REQUIRED[args.command]
-               if getattr(args, name, None) is None]
-    if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        raise _UsageError(f"{args.command}: missing required {flags}")
-
-
 def _add_params(sub):
-    sub.add_argument("--alpha", type=parse_complex, default=None,
+    sub.add_argument("--alpha", type=parse_complex, required=True,
                      help="mixing parameter alpha")
-    sub.add_argument("--beta", type=parse_complex, default=None,
+    sub.add_argument("--beta", type=parse_complex, required=True,
                      help="mixing parameter beta (nonzero)")
 
 
 def _add_common(sub):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--config", default=None, help="key=value defaults file")
 
 
 def _add_drop_tol(sub):
@@ -192,42 +133,42 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     s = subs.add_parser("zero-modes", help="expansion coefficients of one zero mode")
-    s.add_argument("--n", type=int, default=None, help="chain index (level 2n)")
+    s.add_argument("--n", type=int, required=True, help="chain index (level 2n)")
     _add_params(s)
     _add_common(s)
 
     s = subs.add_parser("chain", help="one chain state as a sparse vector")
-    s.add_argument("--chain", type=int, default=None, help="even chain index 2n")
-    s.add_argument("--level", type=int, default=None, help="raising steps nu")
+    s.add_argument("--chain", type=int, required=True, help="even chain index 2n")
+    s.add_argument("--level", type=int, required=True, help="raising steps nu")
     s.add_argument("--method", choices=("closed", "bruteforce"), default="closed")
     _add_params(s)
     _add_common(s)
     _add_drop_tol(s)
 
     s = subs.add_parser("gram", help="overlap matrix of the chains meeting a level")
-    s.add_argument("--row", type=int, default=None, help="energy level of the row")
+    s.add_argument("--row", type=int, required=True, help="energy level of the row")
     _add_params(s)
     _add_common(s)
 
     s = subs.add_parser("lower", help="expand a lowered chain state over the row below")
-    s.add_argument("--chain", type=int, default=None)
-    s.add_argument("--level", type=int, default=None)
+    s.add_argument("--chain", type=int, required=True)
+    s.add_argument("--level", type=int, required=True)
     _add_params(s)
     _add_common(s)
 
     s = subs.add_parser("uncertainty", help="Heisenberg products along the principal chain")
-    s.add_argument("--nu-max", dest="nu_max", type=int, default=None)
+    s.add_argument("--nu-max", dest="nu_max", type=int, required=True)
     _add_params(s)
     _add_common(s)
 
     s = subs.add_parser("resolution", help="level-subspace identity via radial quadrature")
-    s.add_argument("--nu", type=int, default=None)
+    s.add_argument("--nu", type=int, required=True)
     s.add_argument("--nodes", type=int, default=64, help="radial nodes per integral")
     _add_common(s)
 
     s = subs.add_parser("density", help="position-space density grid of a chain state")
     s.add_argument("--chain", type=int, default=0)
-    s.add_argument("--level", type=int, default=None)
+    s.add_argument("--level", type=int, required=True)
     _add_params(s)
     s.add_argument("--xmin", type=float, default=-8.0)
     s.add_argument("--xmax", type=float, default=8.0)
@@ -403,8 +344,6 @@ def run(argv: list[str]) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        args = _apply_config(parser, args, argv)
-        _check_required(args)
         return _HANDLERS[args.command](args)
     except _UsageError as exc:
         if not exc.reported:

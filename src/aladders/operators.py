@@ -50,7 +50,7 @@ class ModeParams:
             if value != 0 and not 1.0 / PARAM_BOUND <= value <= PARAM_BOUND:
                 raise DomainError(
                     f"{name} must be 0 or within [{1.0 / PARAM_BOUND:.0e}, "
-                    f"{PARAM_BOUND:.0e}], got {value:.3e}"
+                    f"{PARAM_BOUND:.0e}], got {value!r}"
                 )
 
 

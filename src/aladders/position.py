@@ -123,14 +123,8 @@ def amplitude_grid(v: FockVector, geom: Grid2D = DEFAULT_DENSITY_GEOMETRY) -> Gr
         raise DomainError("cannot sample the zero vector")
     kets, amps = zip(*v.items())
     ns, ms = np.array(kets).T
-    n_max, m_max = int(ns.max()), int(ms.max())
-    if n_max > RECURRENCE_MAX or m_max > RECURRENCE_MAX:
-        raise DomainError(
-            f"support reaches ({n_max}, {m_max}); quantum numbers beyond "
-            f"{RECURRENCE_MAX} are outside the recurrence stability cap"
-        )
-    fast = eigenfunction_table(n_max, 2.0, geom.xs())
-    slow = eigenfunction_table(m_max, 1.0, geom.ys())
+    fast = eigenfunction_table(int(ns.max()), 2.0, geom.xs())
+    slow = eigenfunction_table(int(ms.max()), 1.0, geom.ys())
     # sum over kets of amp * psi_n(x) psi_m(y): one row of each table per ket
     return replace(geom, values=fast[ns].T @ (np.array(amps)[:, None] * slow[ms]))
 

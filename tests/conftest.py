@@ -11,11 +11,13 @@ ill-conditioning error path).
 
 from __future__ import annotations
 
+import argparse
 import zlib
 
 import numpy as np
 import pytest
 
+from aladders.cli import build_parser
 from aladders.criteria import random_params, random_state  # noqa: F401
 from aladders.fock import FockVector
 
@@ -31,6 +33,14 @@ def max_amp_diff(u: FockVector, v: FockVector) -> float:
 def rel_vec_err(u: FockVector, v: FockVector) -> float:
     """‖u − v‖ / max(‖v‖, 1)."""
     return (u - v).norm() / max(v.norm(), 1.0)
+
+
+def required_flags() -> dict[str, list[str]]:
+    """Subcommand -> the long flags (without dashes) its parser requires."""
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {command: [a.option_strings[0][2:] for a in sub._actions if a.required]
+            for command, sub in subs.choices.items()}
 
 
 @pytest.fixture

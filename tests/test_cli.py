@@ -1,4 +1,4 @@
-"""End-to-end CLI behavior: output formats, config handling, exit codes."""
+"""End-to-end CLI behavior: output formats, usage errors, exit codes."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import pytest
 import aladders
 from aladders import chains, resolution
 from aladders.cli import (
-    _REQUIRED,
+    _HANDLERS,
     EXIT_CONVERGENCE,
     EXIT_DOMAIN,
     EXIT_ILL_CONDITIONED,
@@ -28,6 +28,7 @@ from aladders.cli import (
     run,
 )
 from aladders.position import read_grid_binary
+from conftest import required_flags
 
 
 def run_json(capsys, argv):
@@ -56,6 +57,37 @@ def test_usage_errors(capsys):
     # missing required flag
     assert run(["zero-modes", "--alpha", "1", "--beta", "1"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+# a served value for each flag some subcommand requires
+REQUIRED_VALUES = {"n": "2", "chain": "0", "level": "3", "row": "4", "nu-max": "3",
+                   "nu": "4", "alpha": "1", "beta": "1"}
+
+
+@pytest.mark.parametrize("command", sorted(set(_HANDLERS) - {"selftest"}))
+def test_missing_required_flag(command, capsys):
+    required = required_flags()[command]
+    assert required
+    for missing in required:
+        argv = [f"--{flag}={REQUIRED_VALUES[flag]}" for flag in required if flag != missing]
+        assert run([command, *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: the following arguments are required: --{missing}\n")
+        assert "Traceback" not in captured.err
+
+
+def test_config_flag_is_gone(tmp_path, capsys):
+    # argv is the only input: a config file is an unrecognized argument
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 2\n")
+    assert run(["zero-modes", "--config", str(cfg), "--n", "1", "--alpha", "1",
+                "--beta", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --config" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_help_exits_zero(capsys):
@@ -419,6 +451,17 @@ def test_parameters_beyond_the_bound_refused(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_bound_message_names_the_refused_value(capsys):
+    # cmath.rect rounds this modulus just below 1e-150: the message must print
+    # a value that reads as outside the bound
+    argv = ["zero-modes", "--n", "2", "--beta", "1"]
+    assert run([*argv, "--alpha=1e-150@6.4506347228976395"]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert float(err.rsplit("got ", 1)[1]) < 1e-150
+    assert run([*argv, "--alpha=1e-150@0.4"]) == EXIT_OK
+    capsys.readouterr()
+
+
 def test_uncertainty_is_scale_free(capsys):
     # the products depend on |alpha|/|beta| alone, so a common scale whose
     # squares underflow must leave every byte as it is
@@ -452,55 +495,6 @@ def test_ill_conditioned_exit(capsys):
     assert "condition" in capsys.readouterr().err
 
 
-# ------------------------------------------------------------ config file
-
-def test_config_supplies_and_flags_override(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment line\nn = 2\nalpha = 1,0\nbeta = 2,0\n")
-    data = run_json(capsys, ["zero-modes", "--config", str(cfg)])
-    assert data["n"] == 2
-    data = run_json(capsys, ["zero-modes", "--config", str(cfg), "--n", "1"])
-    assert data["n"] == 1  # explicit flag wins
-
-
-def test_config_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus = 1\n")
-    code = run(["zero-modes", "--config", str(cfg), "--n", "1",
-                "--alpha", "1", "--beta", "1"])
-    assert code == EXIT_USAGE
-    assert "bogus" in capsys.readouterr().err
-
-
-def test_config_values_pass_the_flag_choices(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("method = garbage\n")
-    code = run(["chain", "--config", str(cfg), "--chain", "0", "--level", "2",
-                "--alpha", "1", "--beta", "1"])
-    assert code == EXIT_USAGE
-    assert "garbage" in capsys.readouterr().err
-    cfg.write_text("format = xyz\n")
-    code = run(["density", "--config", str(cfg), "--level", "2", "--alpha", "1",
-                "--beta", "1", "--nx", "4", "--ny", "4"])
-    assert code == EXIT_USAGE
-    assert "xyz" in capsys.readouterr().err
-
-
-def test_config_loses_to_abbreviated_flag(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("level = 5\n")
-    data = run_json(capsys, ["chain", "--config", str(cfg), "--chain", "0",
-                             "--lev", "3", "--alpha", "1", "--beta", "1"])
-    assert data["level"] == 3
-
-
-def test_config_missing_file(capsys):
-    code = run(["zero-modes", "--config", "/nonexistent.cfg", "--n", "1",
-                "--alpha", "1", "--beta", "1"])
-    assert code == EXIT_USAGE
-    capsys.readouterr()
-
-
 def test_import_skips_scipy_linalg():
     # no scipy module at all on the import path; resolution imports its
     # quadrature nodes on first use
@@ -523,7 +517,7 @@ def test_readme_cli_examples_parse():
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
     examples = [words[1:] for words in lines if words and words[0] == "aladders"]
-    assert sorted(argv[0] for argv in examples) == sorted(_REQUIRED)  # one each
+    assert sorted(argv[0] for argv in examples) == sorted(_HANDLERS)  # one each
     parser = build_parser()
     for argv in examples:
         parser.parse_args(argv)

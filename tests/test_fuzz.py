@@ -16,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aladders.cli import _REQUIRED, run
+from aladders.cli import run
 from aladders.position import read_grid_binary
+from conftest import required_flags
 
 GARBAGE = ["", "x", "1,2,3", "--bogus", "nan", "inf", "-inf"]
 
@@ -66,12 +67,13 @@ FLAGS = {
     "selftest": {},
 }
 
+REQUIRED = required_flags()
 NON_FINITE = re.compile(rb"(?i)\b(nan|inf|infinity)\b")
 
 
 @st.composite
 def argvs(draw, command: str, outs: list[str]):
-    required = [name.replace("_", "-") for name in _REQUIRED[command]]
+    required = list(REQUIRED[command])
     if required and draw(st.integers(0, 7)) == 7:
         required.remove(draw(st.sampled_from(required)))
     if command == "density":

@@ -71,6 +71,10 @@ def test_eigenfunction_recurrence_cap():
         eigenfunction_table(-1, 1.0, xs)
     with pytest.raises(DomainError):
         eigenfunction_table(3, 0.0, xs)
+    # amplitude_grid meets the cap where it builds each axis's table
+    for n, m in ((0, RECURRENCE_MAX + 1), (RECURRENCE_MAX + 1, 0)):
+        with pytest.raises(DomainError):
+            amplitude_grid(FockVector.basis(n, m), Grid2D(-1, 1, -1, 1, 3, 3))
 
 
 @pytest.mark.parametrize("omega", [1.0, 2.0])
