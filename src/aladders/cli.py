@@ -29,6 +29,10 @@ EXIT_CONVERGENCE = 3
 EXIT_ILL_CONDITIONED = 4
 EXIT_SELFTEST = 5
 
+# the largest sizes served, far above what the benchmark and the fuzz gate ask
+NU_MAX_BOUND = 10_000
+DENSITY_CELLS_BOUND = 4_000_000
+
 _EPILOG = """\
 complex values are written as 're,im' or 'mag@phase_rad' (a bare real works too).
 
@@ -256,8 +260,8 @@ def _cmd_lower(args) -> int:
 
 
 def _cmd_uncertainty(args) -> int:
-    if args.nu_max < 0:
-        raise DomainError(f"--nu-max must be >= 0, got {args.nu_max}")
+    if not 0 <= args.nu_max <= NU_MAX_BOUND:
+        raise DomainError(f"--nu-max must be in 0..{NU_MAX_BOUND}, got {args.nu_max}")
     p = ModeParams(args.alpha, args.beta)
     # every row before the first write, so a refused level leaves no part
     reps = [principal.uncertainty_products(nu, p) for nu in range(args.nu_max + 1)]
@@ -288,13 +292,17 @@ def _cmd_density(args) -> int:
             f"density needs --chain + --level <= {position.RECURRENCE_MAX}, "
             f"got {args.chain + args.level}"
         )
+    # Grid2D checks the sizes and bounds without allocating the grid
+    geom = position.Grid2D(args.xmin, args.xmax, args.ymin, args.ymax, args.nx, args.ny)
+    if geom.nx * geom.ny > DENSITY_CELLS_BOUND:
+        raise DomainError(f"density needs --nx * --ny <= {DENSITY_CELLS_BOUND}, "
+                          f"got {geom.nx * geom.ny}")
     p = ModeParams(args.alpha, args.beta)
     if args.chain == 0:
         amps = principal.principal_state(args.level, p).coeffs
     else:
         amps = chains._level_block([chains.ChainLabel(args.chain, args.level)], p)[0][:, 0]
     vec = fock.FockVector.from_level(args.chain + args.level, amps, args.drop_tol)
-    geom = position.Grid2D(args.xmin, args.xmax, args.ymin, args.ymax, args.nx, args.ny)
     grid = position.density_grid(vec, geom)
     if args.format == "bin":
         with _out_stream(args.out, binary=True) as fh:
@@ -306,21 +314,18 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from . import criteria
+    from .criteria import CRITERIA
 
-    passed = failed = 0
-    for name, fn in criteria.selftest_checks():
+    lines = [line for row in CRITERIA for line in row.quick]
+    failed = 0
+    for name, check in lines:
         try:
-            ok, detail = fn()
+            ok, detail = check()
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        if ok:
-            passed += 1
-            print(f"ok   {name} ({detail})")
-        else:
-            failed += 1
-            print(f"FAIL {name} ({detail})")
-    print(f"selftest: {passed} passed, {failed} failed")
+        failed += not ok
+        print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
+    print(f"selftest: {len(lines) - failed} passed, {failed} failed")
     return EXIT_OK if failed == 0 else EXIT_SELFTEST
 
 

@@ -2,7 +2,7 @@
 
 Random objects are drawn through numpy Generators seeded per test so
 failures reproduce.  The draws themselves (random_params, random_state)
-live in aladders.criteria, which the selftest shares.  Parameter draws
+live in aladders.criteria, which the table CRITERIA uses.  Parameter draws
 avoid the near-degenerate regime |alpha|/|beta| << 1 unless a test asks
 for it explicitly: the Gram matrices of high rows become numerically
 singular there (that regime is exercised separately through the
@@ -28,11 +28,6 @@ def max_amp_diff(u: FockVector, v: FockVector) -> float:
     if not keys:
         return 0.0
     return max(abs(u[k] - v[k]) for k in keys)
-
-
-def rel_vec_err(u: FockVector, v: FockVector) -> float:
-    """‖u − v‖ / max(‖v‖, 1)."""
-    return (u - v).norm() / max(v.norm(), 1.0)
 
 
 def required_flags() -> dict[str, list[str]]:

@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from aladders.cli import (
     parse_complex,
     run,
 )
+from aladders.criteria import CRITERIA
 from aladders.position import read_grid_binary
 from conftest import required_flags
 
@@ -523,11 +526,58 @@ def test_readme_cli_examples_parse():
         parser.parse_args(argv)
 
 
-def test_selftest_passes(capsys):
-    assert run(["selftest"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "0 failed" in out
-    assert out.count("ok   ") == 15
+# the selftest's lines, in order; bench/cliload.py checks its last line
+SELFTEST_NAMES = [
+    "ladder commutators", "raising/lowering adjointness", "level shift by one",
+    "commutator closed form", "zero-mode annihilation",
+    "zero-mode coefficients closed vs recursion", "kernel dimension per level",
+    "chain closed form vs operator construction",
+    "principal norms product vs sum vs operator", "slow-mode lowering step",
+    "uncertainty closed forms vs ladder algebra", "zero-mode/principal orthogonality",
+    "lowering decomposition residual", "level identity by quadrature",
+    "vacuum density mass",
+]
+
+
+def test_selftest_passes():
+    # in a fresh process, which must not load scipy.spatial: criterion 9's
+    # tube fit is left to the gate
+    code = ("import sys, aladders.cli; print(aladders.cli.run(['selftest'])); "
+            "print([m for m in sys.modules if m.startswith('scipy.spatial')])")
+    src = str(Path(aladders.__file__).parents[1])
+    *checks, last, exit_code, spatial = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src)).stdout.splitlines()
+    assert [line.split(": ", 1)[0] for line in checks] == [f"ok   {n}" for n in SELFTEST_NAMES]
+    assert [last, exit_code, spatial] == ["selftest: 15 passed, 0 failed", str(EXIT_OK), "[]"]
+
+
+def test_readme_tolerances_match_the_table():
+    # each tolerance the output contract quotes is the bound of its row
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.split("(a test checks that they match):\n", 1)[1].split("\n- ", 1)[0]
+    bullets = text.replace("\n    ", " ").split("\n  - ")
+    bounds = {row.number: row.bounds for row in CRITERIA}
+    for phrase, number in {"chain amplitudes": 3, "lowering decompositions": 6,
+                           "uncertainty products": 8, "resolution-of-the-identity": 7}.items():
+        (bullet,) = [b for b in bullets if phrase in b]
+        quoted = tuple(float(x) for x in re.findall(r"\b\d+(?:\.\d+)?e-\d+", bullet))
+        assert quoted and quoted == bounds[number][:len(quoted)], bullet
+
+
+@pytest.mark.parametrize("argv", [
+    ["uncertainty", "--nu-max", "1000000000", "--alpha", "1", "--beta", "1"],
+    ["density", "--level", "2", "--alpha", "1", "--beta", "1",
+     "--nx", "100000", "--ny", "100000"],
+])
+def test_size_bounds_refused_before_allocating(argv, capsys):
+    tracemalloc.start()
+    try:
+        assert run(argv) == EXIT_DOMAIN
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20  # peak bytes
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err.startswith("domain error:")
 
 
 def test_drop_tol_flag(capsys):
