@@ -16,9 +16,10 @@ import contextlib
 import json
 import math
 import os
+import struct
 import sys
 
-from . import chains, fock, position, principal, resolution, zero_modes
+from . import chains, position, principal, resolution, zero_modes
 from .errors import ConvergenceError, DomainError, IllConditionedError
 from .operators import ModeParams
 
@@ -119,14 +120,6 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _add_drop_tol(sub):
-    # only chain and density print a pruned vector; the other subcommands
-    # compute on unpruned arrays, where a drop tolerance changes nothing
-    sub.add_argument("--drop-tol", dest="drop_tol", type=float,
-                     default=fock.DEFAULT_DROP_TOL,
-                     help="sparse amplitude drop tolerance (default 1e-14)")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="aladders",
@@ -147,7 +140,6 @@ def build_parser() -> _Parser:
     s.add_argument("--method", choices=("closed", "bruteforce"), default="closed")
     _add_params(s)
     _add_common(s)
-    _add_drop_tol(s)
 
     s = subs.add_parser("gram", help="overlap matrix of the chains meeting a level")
     s.add_argument("--row", type=int, required=True, help="energy level of the row")
@@ -182,7 +174,6 @@ def build_parser() -> _Parser:
     s.add_argument("--ny", type=int, default=600)
     s.add_argument("--format", choices=("csv", "bin"), default="csv")
     _add_common(s)
-    _add_drop_tol(s)
 
     subs.add_parser("selftest", help="run the bundled oracle-equivalence checks")
 
@@ -204,21 +195,16 @@ def _cmd_zero_modes(args) -> int:
 
 def _cmd_chain(args) -> int:
     label = chains.ChainLabel(args.chain, args.level)
-    p = ModeParams(args.alpha, args.beta)
-    if args.method == "closed":
-        block, logs = chains._level_block([label], p)
-        amps, log_norm_sq = block[:, 0], float(logs[0])
-    else:
-        amps, log_norm_sq = chains._raised_chain(label, p)
-    vec = fock.FockVector.from_level(label.chain + label.level, amps, args.drop_tol)
-    norm_sq = zero_modes._exp_or_inf(log_norm_sq)
+    build = (chains.chain_state_closed if args.method == "closed"
+             else chains.chain_state_bruteforce)
+    st = build(label, ModeParams(args.alpha, args.beta))
     payload = {
         "chain": label.chain,
         "level": label.level,
         # null where the squared norm is beyond a double, so stdout stays JSON
-        "norm_sq": norm_sq if math.isfinite(norm_sq) else None,
-        "log_norm_sq": log_norm_sq,
-        "vector": vec.to_records(),
+        "norm_sq": st.norm_sq if math.isfinite(st.norm_sq) else None,
+        "log_norm_sq": st.log_norm_sq,
+        "vector": st.vector.to_records(),
     }
     with _out_stream(args.out) as fh:
         _dump_json(payload, fh)
@@ -297,12 +283,23 @@ def _cmd_density(args) -> int:
     if geom.nx * geom.ny > DENSITY_CELLS_BOUND:
         raise DomainError(f"density needs --nx * --ny <= {DENSITY_CELLS_BOUND}, "
                           f"got {geom.nx * geom.ny}")
+    # the binary header holds the bounds as float32, so the grid read back is
+    # the grid computed only where float32 holds each bound exactly
+    bin_bounds = ("xmin", "xmax", "ymin", "ymax") if args.format == "bin" else ()
+    for flag in bin_bounds:
+        bound = getattr(args, flag)
+        try:
+            exact = struct.unpack("<f", struct.pack("<f", bound))[0] == bound
+        except OverflowError:  # beyond float32's range
+            exact = False
+        if not exact:
+            raise DomainError(f"the binary format holds grid bounds as float32, "
+                              f"which does not hold --{flag} {bound!r} exactly")
     p = ModeParams(args.alpha, args.beta)
     if args.chain == 0:
-        amps = principal.principal_state(args.level, p).coeffs
+        vec = principal.principal_state(args.level, p).to_fock()
     else:
-        amps = chains._level_block([chains.ChainLabel(args.chain, args.level)], p)[0][:, 0]
-    vec = fock.FockVector.from_level(args.chain + args.level, amps, args.drop_tol)
+        vec = chains.chain_state_closed(chains.ChainLabel(args.chain, args.level), p).vector
     grid = position.density_grid(vec, geom)
     if args.format == "bin":
         with _out_stream(args.out, binary=True) as fh:

@@ -9,8 +9,8 @@ Kets are plain (n, m) tuples; vectors are immutable sparse maps from kets to
 complex amplitudes.  The algebra is exact: every operation keeps each nonzero
 amplitude, and drops only entries that are exactly 0.  Small amplitudes are
 pruned in one place, FockVector.from_level, where a dense level array becomes
-a sparse vector, at the drop tolerance passed to it.  Iteration order is
-always lexicographic in (n, m), which keeps serialized output stable.
+a sparse vector, at DEFAULT_DROP_TOL.  Iteration order is always
+lexicographic in (n, m), which keeps serialized output stable.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .errors import DomainError
 
 FockIndex = tuple[int, int]
 
-# FockVector.from_level drops level amplitudes with |a| below this unless
-# told otherwise (the CLI's chain and density expose it as --drop-tol).
+# FockVector.from_level drops level amplitudes with |a| below this; it is
+# the one pruning tolerance of the package.
 DEFAULT_DROP_TOL = 1e-14
 
 
@@ -77,16 +77,13 @@ class FockVector:
         return cls({(n, m): 1.0 + 0j})
 
     @classmethod
-    def from_level(cls, level: int, amps: Sequence[complex],
-                   drop_tol: float = DEFAULT_DROP_TOL) -> "FockVector":
+    def from_level(cls, level: int, amps: Sequence[complex]) -> "FockVector":
         """The vector whose amplitudes over level_basis(level) are amps,
-        less those with |a| < drop_tol."""
-        if not drop_tol >= 0.0:
-            raise DomainError(f"drop tolerance must be >= 0, got {drop_tol}")
+        less those with |a| < DEFAULT_DROP_TOL."""
         basis = level_basis(level)
         if len(amps) != len(basis):
             raise DomainError(f"level {level} needs {len(basis)} amplitudes, got {len(amps)}")
-        return cls((k, a) for k, a in zip(basis, amps) if abs(a) >= drop_tol)
+        return cls((k, a) for k, a in zip(basis, amps) if abs(a) >= DEFAULT_DROP_TOL)
 
     def items(self) -> Iterator[tuple[FockIndex, complex]]:
         return iter(self._amp.items())

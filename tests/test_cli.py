@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import aladders
-from aladders import chains, resolution
+from aladders import chains, position, principal, resolution
 from aladders.cli import (
     _HANDLERS,
     EXIT_CONVERGENCE,
@@ -30,6 +31,7 @@ from aladders.cli import (
     run,
 )
 from aladders.criteria import CRITERIA
+from aladders.operators import ModeParams
 from aladders.position import read_grid_binary
 from conftest import required_flags
 
@@ -176,6 +178,22 @@ def test_chain_norm_beyond_double(capsys):
         assert norm_sq == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("method", ["closed", "bruteforce"])
+@pytest.mark.parametrize("chain, level, alpha", [(2, 5, "1"), (0, 200, "2.5"),
+                                                 (60, 60, "10@0.4")])
+def test_chain_prints_the_library_state(method, chain, level, alpha, capsys):
+    # chain prints chain_state_closed or chain_state_bruteforce as it is
+    argv = ["chain", f"--chain={chain}", f"--level={level}", f"--alpha={alpha}",
+            "--beta=1", f"--method={method}"]
+    assert run(argv) == EXIT_OK
+    build = getattr(chains, f"chain_state_{method}")
+    st = build(chains.ChainLabel(chain, level), ModeParams(parse_complex(alpha), 1))
+    payload = {"chain": chain, "level": level, "log_norm_sq": st.log_norm_sq,
+               "norm_sq": st.norm_sq if math.isfinite(st.norm_sq) else None,
+               "vector": st.vector.to_records()}
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def test_gram_output(capsys):
     data = run_json(capsys, ["gram", "--row", "4",
                              "--alpha", "1.2,0", "--beta", "0.8,0.1"])
@@ -257,6 +275,43 @@ def test_density_binary_deterministic(tmp_path, capsys):
     assert (grid.nx, grid.ny) == (16, 18)
     assert grid.values.min() >= 0.0
     assert grid.values.sum() > 0.0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+@pytest.mark.parametrize("chain", [0, 4])
+def test_density_samples_the_library_state(chain, fmt, capsysbinary):
+    # chain 0 is the principal state, any other chain chain_state_closed
+    p = ModeParams(0.7 + 0.1j, 1)
+    if chain == 0:
+        vec = principal.principal_state(6, p).to_fock()
+    else:
+        vec = chains.chain_state_closed(chains.ChainLabel(chain, 6), p).vector
+    grid = position.density_grid(vec, position.Grid2D(-3.0, 3.0, -5.0, 5.0, 9, 11))
+    if fmt == "bin":
+        fh = io.BytesIO()
+        position.write_grid_binary(grid, fh)
+        expected = fh.getvalue()
+    else:
+        fh = io.StringIO()
+        position.write_grid_csv(grid, fh)
+        expected = fh.getvalue().encode()
+    assert run(["density", f"--chain={chain}", "--level=6", "--alpha=0.7,0.1", "--beta=1",
+                "--xmin=-3", "--xmax=3", "--ymin=-5", "--ymax=5", "--nx=9", "--ny=11",
+                f"--format={fmt}"]) == EXIT_OK
+    assert capsysbinary.readouterr().out == expected
+
+
+def test_binary_bounds_must_be_float32(capsys):
+    # the header holds the bounds as float32, which does not hold -8.000000001
+    argv = ["density", "--level", "2", "--alpha", "1", "--beta", "1",
+            "--nx", "3", "--ny", "3", "--xmin=-8.000000001"]
+    assert run([*argv, "--format", "bin"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("domain error: the binary format holds grid bounds as "
+                            "float32, which does not hold --xmin -8.000000001 exactly\n")
+    assert run(argv) == EXIT_OK  # CSV prints every digit
+    assert capsys.readouterr().out.splitlines()[1].startswith("-8.000000001,")
 
 
 def test_refused_density_leaves_out_file_as_it_was(tmp_path, capsys):
@@ -569,6 +624,8 @@ def test_readme_tolerances_match_the_table():
     ["uncertainty", "--nu-max", "1000000000", "--alpha", "1", "--beta", "1"],
     ["density", "--level", "2", "--alpha", "1", "--beta", "1",
      "--nx", "100000", "--ny", "100000"],
+    ["density", "--level", "100", "--alpha", "1", "--beta", "1",
+     "--nx", "2000", "--ny", "2000", "--ymax", "1e39", "--format", "bin"],
 ])
 def test_size_bounds_refused_before_allocating(argv, capsys):
     tracemalloc.start()
@@ -580,13 +637,12 @@ def test_size_bounds_refused_before_allocating(argv, capsys):
     assert capsys.readouterr().err.startswith("domain error:")
 
 
-def test_drop_tol_flag(capsys):
-    chain = ["chain", "--chain", "4", "--level", "6", "--alpha", "2.5", "--beta", "1"]
-    coarse = run_json(capsys, [*chain, "--drop-tol", "1e-3"])
-    assert len(coarse["vector"]) == 5
-    # the flag holds for its own invocation only
-    assert len(run_json(capsys, chain)["vector"]) == 6
-    for bad in ("-1", "nan"):
-        assert run([*chain, "--drop-tol", bad]) == EXIT_DOMAIN
-        err = capsys.readouterr().err
-        assert err == f"domain error: drop tolerance must be >= 0, got {float(bad)}\n"
+def test_drop_tol_flag_is_gone(capsys):
+    # one pruning tolerance, fock.DEFAULT_DROP_TOL: the flag is unrecognized
+    for argv in (["chain", "--chain", "4", "--level", "6"],
+                 ["density", "--level", "2", "--nx", "3", "--ny", "3"]):
+        assert run([*argv, "--alpha", "1", "--beta", "1", "--drop-tol", "0"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --drop-tol 0" in captured.err
+        assert "Traceback" not in captured.err

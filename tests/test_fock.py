@@ -169,23 +169,11 @@ def test_constructor_merges_and_prunes():
     assert list(FockVector.from_level(2, [1.0, 1e-15])) == [(0, 2)]
 
 
-def test_drop_tolerance_is_configurable():
-    assert len(FockVector.from_level(0, [1e-4], drop_tol=1e-3)) == 0
-    assert len(FockVector.from_level(0, [1e-2], drop_tol=1e-3)) == 1
-    assert len(FockVector.from_level(0, [1e-4], drop_tol=0.0)) == 1
-    assert len(FockVector.from_level(0, [1e-300], drop_tol=0.0)) == 1
-    assert len(FockVector.from_level(0, [0.0], drop_tol=0.0)) == 0
-    for bad in (-1.0, math.nan):
-        with pytest.raises(DomainError, match="drop tolerance must be >= 0"):
-            FockVector.from_level(0, [1.0], drop_tol=bad)
-
-
 def test_algebra_keeps_tiny_amplitudes():
     tiny = FockVector({(0, 0): 1e-20})
     assert list(tiny) == [(0, 0)]
     assert list(a_plus(tiny)) == [(1, 0)]
     assert len(FockVector.from_level(0, [1e-20])) == 0
-    assert list(FockVector.from_level(0, [1e-20], drop_tol=0.0)) == [(0, 0)]
 
 
 def test_vector_is_immutable():

@@ -9,6 +9,7 @@ Sizes stay small (chains and rows <= 60, other sizes <= 600, grids <= 12 x
 from __future__ import annotations
 
 import io
+import math
 import re
 
 import numpy as np
@@ -39,7 +40,11 @@ def ints(lo: int, hi: int, step: int = 1):
 
 
 def reals(lo: float, hi: float, *odd: str):
-    return mostly(st.floats(lo, hi).map(repr), "-0.0", "1e308", "-1e308", *odd)
+    """A float in [lo, hi], half the time a multiple of 1/4, which float32
+    holds exactly (so density --format bin serves it)."""
+    quarters = st.integers(math.ceil(4 * lo), math.floor(4 * hi)).map(lambda i: repr(i / 4))
+    return mostly(st.one_of(quarters, st.floats(lo, hi).map(repr)),
+                  "-0.0", "1e308", "-1e308", *odd)
 
 
 MAGNITUDE = st.sampled_from(["1", "1e-3", "1e3", "1e-100", "1e100", "1e-150", "1e150"])
@@ -49,19 +54,18 @@ COMPLEX = mostly(
     "0", "0,0", "1e-151", "1e151", "1e-300", "1e300", "nan,0", "1,inf", "1@", "@", "inf@0",
 )
 PARAMS = {"alpha": COMPLEX, "beta": COMPLEX}
-DROP_TOL = {"drop-tol": reals(0.0, 1.0, "0", "1e-14", "1e-3", "1e-300", "-1")}
 BOUNDS = {flag: reals(-20.0, 20.0, "1e39", "-1e39", "1e200", "-1e200")
           for flag in ("xmin", "xmax", "ymin", "ymax")}
 
 FLAGS = {
     "zero-modes": {"n": ints(0, 600), **PARAMS},
-    "chain": {"chain": ints(0, 30, 2), "level": ints(0, 60), **PARAMS, **DROP_TOL,
+    "chain": {"chain": ints(0, 30, 2), "level": ints(0, 60), **PARAMS,
               "method": mostly(st.sampled_from(["closed", "bruteforce"]))},
     "gram": {"row": ints(0, 60), **PARAMS},
     "lower": {"chain": ints(0, 15, 2), "level": ints(1, 30), **PARAMS},
     "uncertainty": {"nu-max": ints(0, 600), **PARAMS},
     "resolution": {"nu": ints(0, 600), "nodes": ints(8, 600)},
-    "density": {"chain": ints(0, 30, 2), "level": ints(0, 600), **PARAMS, **DROP_TOL,
+    "density": {"chain": ints(0, 30, 2), "level": ints(0, 600), **PARAMS,
                 **BOUNDS, "nx": ints(2, 12), "ny": ints(2, 12),
                 "format": mostly(st.sampled_from(["csv", "bin"]))},
     "selftest": {},
@@ -77,7 +81,8 @@ def argvs(draw, command: str, outs: list[str]):
     if required and draw(st.integers(0, 7)) == 7:
         required.remove(draw(st.sampled_from(required)))
     if command == "density":
-        required += ["nx", "ny"]  # each axis has 600 points by default
+        # each axis has 600 points by default; draw each format as often
+        required += ["nx", "ny", "format"]
     argv = [command]
     for name, values in FLAGS[command].items():
         if name in required or draw(st.integers(0, 3)) == 3:

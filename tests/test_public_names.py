@@ -41,6 +41,26 @@ def test_every_export_is_used_outside_the_tests():
     assert unused == []
 
 
+def test_cli_reads_no_private_name_of_another_module():
+    """The CLI prints what the library's public calls return.  The one
+    exception is chains._lowering, which gives `lower` its terms and its
+    residual from one solve."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    modules, private = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                modules.update(alias.asname or alias.name for alias in node.names)
+            else:
+                private.update(f"{node.module}.{alias.name}" for alias in node.names
+                               if alias.name.startswith("_"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            private.add(f"{node.value.id}.{node.attr}")
+    assert private == {"chains._lowering"}
+
+
 def test_no_hidden_state():
     """No context or thread-local variables, and the one global statement
     fills the read-only log-factorial memo."""
