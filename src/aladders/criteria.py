@@ -421,8 +421,8 @@ class Criterion(NamedTuple):
 
 
 # ``aladders selftest`` prints its lines in the order of this table.
-# Criterion 9 has no selftest line: importing scipy.spatial for its tube fit
-# alone would add more than half to the selftest's run time.
+# Criterion 9 has no selftest line: its two level-100 panels and tube fits
+# would take longer than all the other lines together.
 CRITERIA: tuple[Criterion, ...] = (
     Criterion(None, "ladder_commutators", "ladder commutators", (ALGEBRA_TOL,), None, (
         ("ladder commutators", lambda: _algebra(ladder_commutator_deviation, _draws(18))),)),

@@ -195,36 +195,107 @@ def lissajous_curve(amp_x: float, amp_y: float, phase: float) -> np.ndarray:
     return np.column_stack((amp_x * np.cos(2.0 * t + phase), amp_y * np.cos(t)))
 
 
+# Curve-sample/column pairs whose row runs _tube_mask finds together: the
+# temporaries take about 150 bytes per pair, so one phase never holds more
+# than about 10 MB of them, however wide the tube or fine the grid.
+_MASK_PAIRS = 1 << 16
+
+
+def _runs(
+    axis: np.ndarray, centre: np.ndarray, offset: np.ndarray | float, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each entry k, the run first[k] <= j < stop[k] of nodes of the
+    ascending `axis` within reach of centre[k]: those whose offset
+    (dx, dy) = (offset[k], axis[j] - centre[k]) has
+    np.sqrt(dx*dx + dy*dy) <= radius.  That is the sum and square root of
+    a k-d tree's Euclidean distance, so a node at exactly `radius` is in.
+
+    The distance only grows away from the centre, rounding included, so
+    the nodes within reach are contiguous.  `first` counts the nodes below
+    the centre and out of reach, `stop` those below it or within reach;
+    each count comes from a bisection of len(axis).bit_length() steps with
+    that exact predicate.
+    """
+    n = axis.size
+    first = np.zeros(centre.size, dtype=np.intp)
+    stop = np.zeros(centre.size, dtype=np.intp)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        for count, out_of_reach in ((first, True), (stop, False)):
+            # does the count reach count + step?  the node count + step - 1
+            # decides, since both predicates hold on a prefix of the axis
+            ahead = count + step
+            dy = axis[np.minimum(ahead, n) - 1] - centre
+            below = dy < 0.0
+            near = np.sqrt(offset * offset + dy * dy) <= radius
+            holds = below & ~near if out_of_reach else below | near
+            count += step * ((ahead <= n) & holds)
+        step >>= 1
+    return first, stop
+
+
+def _tube_mask(
+    xs: np.ndarray, ys: np.ndarray, curve: np.ndarray, radius: float
+) -> np.ndarray:
+    """Nodes of the grid xs x ys within `radius` of some curve sample, shape
+    (len(xs), len(ys)).
+
+    The nodes within reach of one sample lie in a run of columns, and in
+    each of those columns in a run of rows; _runs finds both with the exact
+    predicate, so a node is marked exactly when some sample is within
+    reach.  Each row run is marked +1 at its first node and -1 past
+    its last in a difference array, and one cumulative sum along y counts
+    the runs that cover each node.  The samples are taken in passes of
+    about _MASK_PAIRS (sample, column) pairs.
+    """
+    nx, ny = xs.size, ys.size
+    cx, cy = curve[:, 0], curve[:, 1]
+    marks = np.zeros(nx * (ny + 1), dtype=np.intp)
+    # offsets past about 1e154 square to inf, which is out of reach
+    with np.errstate(over="ignore"):
+        first, stop = _runs(xs, cx, 0.0, radius)
+        cols = stop - first
+        # a pass ends where the running pair count passes a multiple of
+        # _MASK_PAIRS
+        passes = (cols.cumsum() - cols) // _MASK_PAIRS
+        for sample in np.split(np.arange(cx.size), np.flatnonzero(np.diff(passes)) + 1):
+            counts = cols[sample]
+            ends = counts.cumsum()
+            # columns first[s], ..., stop[s] - 1 of each sample s in the pass
+            col = np.arange(ends[-1]) + (first[sample] + counts - ends).repeat(counts)
+            sample = sample.repeat(counts)
+            lo, hi = _runs(ys, cy[sample], xs[col] - cx[sample], radius)
+            marks += np.bincount(col * (ny + 1) + lo, minlength=marks.size)
+            marks -= np.bincount(col * (ny + 1) + hi, minlength=marks.size)
+    return marks.reshape(nx, ny + 1).cumsum(axis=1)[:, :ny] > 0
+
+
 def _tube_fractions(
     grid: Grid2D, amp_x: float, amp_y: float, radius: float
 ) -> Callable[[float], float]:
     """phase -> fraction of the grid's mass within `radius` of the Lissajous
-    curve at that phase.  The grid and radius are checked, and the grid's
-    nodes and mass computed, once for every phase.
+    curve at that phase.  The grid, amplitudes and radius are checked, and
+    the grid's mass computed, once for every phase; each phase is checked
+    before its curve is built.
 
-    A node at exactly `radius` from a curve sample is inside.  The query
-    stops at one ulp above the radius, because cKDTree's bound is strict: at
-    the radius itself such a node would come back as inf.
+    A node is inside when its distance to the nearest curve sample, formed
+    as _runs forms it, is at most `radius`.
     """
     if grid.values is None:
         raise DomainError("grid has no values")
     if not radius > 0:
         raise DomainError(f"tube radius must be > 0, got {radius}")
+    if not (math.isfinite(amp_x) and math.isfinite(amp_y)):
+        raise DomainError(f"curve amplitudes must be finite, got {amp_x}, {amp_y}")
     total = grid.integral()
     if total == 0.0:
         raise DomainError("grid carries no mass")
-    # imported here, not at module level: scipy.spatial loads scipy.linalg,
-    # and no other CLI subcommand needs either
-    from scipy.spatial import cKDTree
-
-    xg, yg = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
-    points = np.column_stack((xg.ravel(), yg.ravel()))
-    bound = np.nextafter(radius, np.inf)
+    xs, ys = grid.xs(), grid.ys()
 
     def fraction(phase: float) -> float:
-        tree = cKDTree(lissajous_curve(amp_x, amp_y, phase))
-        dist, _ = tree.query(points, k=1, distance_upper_bound=bound)
-        inside = (dist <= radius).reshape(grid.nx, grid.ny)
+        if not math.isfinite(phase):
+            raise DomainError(f"curve phase must be finite, got {phase}")
+        inside = _tube_mask(xs, ys, lissajous_curve(amp_x, amp_y, phase), radius)
         return replace(grid, values=grid.values * inside).integral() / total
 
     return fraction

@@ -554,17 +554,21 @@ def test_ill_conditioned_exit(capsys):
 
 
 def test_import_skips_scipy_linalg():
-    # no scipy module at all on the import path; resolution imports its
-    # quadrature nodes on first use
+    # no scipy module at all on the import path, nor after a tube fit;
+    # resolution imports its quadrature nodes on first use
     code = ("import sys, aladders.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "from aladders import FockVector, Grid2D, best_tube_phase, density_grid; "
+            "g = density_grid(FockVector.basis(0, 0), Grid2D(-4, 4, -4, 4, 40, 40)); "
+            "best_tube_phase(g, 1.0, 1.0); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
             "print(aladders.cli.run(['resolution', '--nu', '4']))")
     src = str(Path(aladders.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
     lines = out.splitlines()
-    assert lines[0] == "[]"
-    assert json.loads("\n".join(lines[1:-1]))["nu"] == 4
+    assert lines[:2] == ["[]", "[]"]
+    assert json.loads("\n".join(lines[2:-1]))["nu"] == 4
     assert lines[-1] == str(EXIT_OK)
 
 

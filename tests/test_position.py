@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,7 @@ def test_tube_fraction_bounds(rng):
     assert 0.0 < frac <= 1.0
     wide = tube_mass_fraction(grid, 1.0, 1.0, 0.0, radius=10.0)
     assert wide == pytest.approx(1.0, abs=1e-12)
+    assert tube_mass_fraction(grid, 1.0, 1.0, 0.0, radius=math.inf) == 1.0
     with pytest.raises(DomainError):
         tube_mass_fraction(grid, 1.0, 1.0, 0.0, radius=0.0)
 
@@ -350,19 +352,66 @@ def test_best_tube_phase_matches_brute_force_scan(level40, monkeypatch):
     assert best_tube_phase(grid, A, B, radius=1.0) == want
 
 
-def test_best_tube_phase_refuses_bad_input_before_any_query(monkeypatch):
-    import scipy.spatial
+def test_tube_mask_matches_unbounded_query():
+    panel = principal_state(100, ModeParams(3.0, 1j / math.sqrt(2))).to_fock()
+    A, B = lissajous_amplitudes(panel)
+    full = DEFAULT_DENSITY_GEOMETRY
+    # the coarse copy best_tube_phase scans
+    rough = Grid2D(full.x_min, float(full.xs()[::4][-1]),
+                   full.y_min, float(full.ys()[::4][-1]), 150, 150)
+    # around (1 + cos 0.3, 1 + sin 0.3), at distance 1 from the curve sample
+    # (1, 1): a step of a few ulps, finer than the rounding of the run ends
+    ex, ey = 1.0 + math.cos(0.3), 1.0 + math.sin(0.3)
+    cases = [
+        (full, A, B, 0.4),
+        (rough, A, B, 2.1),
+        (rough, 1.6 * A, 1.3 * B, 1.0),  # leaves the window
+        (Grid2D(-3, 5, -2, 7, 37, 91), 2.5, 4.0, 0.7),
+        (Grid2D(-1, 1, -1, 1, 2, 2), 0.8, 1.1, 0.3),
+        (Grid2D(-4, 4, -6, 6, 61, 83), -3.0, -5.0, 4.0),
+        (Grid2D(-4, 4, -4, 4, 30, 30), 1e200, 3.0, 0.2),  # squares overflow
+        (Grid2D(ex - 1e-14, ex + 1e-14, ey - 1e-14, ey + 1e-14, 60, 60), 1.0, 1.0, 0.0),
+    ]
+    for grid, amp_x, amp_y, phase in cases:
+        curve = lissajous_curve(amp_x, amp_y, phase)
+        dist = unbounded_distances(grid, amp_x, amp_y, phase)
+        for radius in (0.01, 0.25, 1.0, 2.5, 1e3, math.inf):
+            mask = position._tube_mask(grid.xs(), grid.ys(), curve, radius)
+            assert np.array_equal(mask, dist <= radius)
 
+
+def test_tube_mask_temporaries_are_bounded():
+    # every node within reach of every sample: 2048 x 1000 (sample, column)
+    # pairs, taken a bounded pass at a time.  The k-d tree query this mask
+    # replaced peaked at 57 MB here; this call peaks at about 25 MB.
+    grid = Grid2D(-8, 8, -16, 16, 1000, 1000, values=np.ones((1000, 1000)))
+    tracemalloc.start()
+    try:
+        assert tube_mass_fraction(grid, 5.0, 10.0, 0.3, radius=1e3) == 1.0
+        assert tracemalloc.get_traced_memory()[1] < 40 << 20  # peak bytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_best_tube_phase_refuses_bad_input_before_any_query(monkeypatch):
     def no_query(*_args, **_kwargs):
         raise AssertionError("a curve was queried")
 
-    monkeypatch.setattr(scipy.spatial, "cKDTree", no_query)
+    monkeypatch.setattr(position, "_tube_mask", no_query)
     live = density_grid(FockVector.basis(0, 0), Grid2D(-4, 4, -4, 4, 40, 40))
     for radius in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError, match="radius"):
             best_tube_phase(live, 1.0, 1.0, radius=radius)
         with pytest.raises(DomainError, match="radius"):
             tube_mass_fraction(live, 1.0, 1.0, 0.0, radius=radius)
+    for bad in (math.nan, math.inf, -math.inf):
+        for amps in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(DomainError, match="amplitudes"):
+                best_tube_phase(live, *amps)
+            with pytest.raises(DomainError, match="amplitudes"):
+                tube_mass_fraction(live, *amps, 0.0)
+        with pytest.raises(DomainError, match="phase"):
+            tube_mass_fraction(live, 1.0, 1.0, bad)
     dead = Grid2D(-4, 4, -4, 4, 40, 40, values=np.zeros((40, 40)))
     with pytest.raises(DomainError, match="no mass"):
         best_tube_phase(dead, 1.0, 1.0)
