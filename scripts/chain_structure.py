@@ -18,7 +18,7 @@ import sys
 from aladders.chains import (
     gram_condition,
     ladder_factor,
-    lowering_residual,
+    lowering,
     row_labels,
 )
 from aladders.errors import IllConditionedError
@@ -46,7 +46,7 @@ def main(argv=None) -> int:
                     continue
                 factor = ladder_factor(label, p)
                 try:
-                    res = lowering_residual(label, p)
+                    res = lowering(label, p)[1]
                     res_txt = f"{res:.3e}"
                 except IllConditionedError as exc:
                     res_txt = f"refused (condition {exc.condition:.2e})"

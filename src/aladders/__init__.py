@@ -31,8 +31,8 @@ from .chains import (
     gram_condition,
     gram_matrix,
     ladder_factor,
+    lowering,
     lowering_decomposition,
-    lowering_residual,
     row_labels,
 )
 from .principal import (

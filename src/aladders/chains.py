@@ -20,8 +20,8 @@ the level-2n zero mode nu times.  Two independent constructions are kept:
 Within a level the chain states are linearly independent but not orthogonal.
 The row of chains meeting at level R is the square matrix C whose column k is
 chain (2k, R - 2k) over level_basis(R); gram_matrix is C^H C, and
-lowering_decomposition solves on C, which is what lets the lowered state be
-re-expanded over the row below.
+lowering solves on C, which is what lets the lowered state be re-expanded
+over the row below.
 """
 
 from __future__ import annotations
@@ -286,15 +286,19 @@ def _lower_level(amps: np.ndarray, level: int, p: ModeParams) -> np.ndarray:
     return out
 
 
-def _lowering(
+def lowering(
     label: ChainLabel, p: ModeParams
 ) -> tuple[list[tuple[ChainLabel, complex]], float]:
-    """(terms, residual) of A- |label> over the row below, from one build of
-    the lowered state t and of the row matrix C.
+    """Expand the lowered chain state over the full row one level below.
 
-    x solves C x = t through one SVD of C, refused when the Gram condition
-    cond(C)^2 exceeds COND_LIMIT.  The residual is ||t - C x|| / ||t||, 0
-    when t vanishes.
+    Returns (terms, residual): terms is [(label_k, coefficient_k), ...] such
+    that applying the lowering operator to the (chain, level) state equals
+    the coefficient-weighted sum of the row's chain states, and residual is
+    ||t - C x|| / ||t||, 0 when the lowered state t vanishes.  Both come
+    from one build of t and of the row matrix C, unpruned: x solves C x = t
+    through one SVD of C, so the solve sees cond(C), not the squared
+    condition of the Gram matrix, and it is refused when the Gram condition
+    cond(C)^2 exceeds COND_LIMIT.
     """
     if label.level < 1:
         raise DomainError("lowering decomposition needs level >= 1")
@@ -317,18 +321,5 @@ def _lowering(
 def lowering_decomposition(
     label: ChainLabel, p: ModeParams
 ) -> list[tuple[ChainLabel, complex]]:
-    """Expand the lowered chain state over the full row one level below.
-
-    Returns [(label_k, coefficient_k), ...] such that applying the lowering
-    operator to the (chain, level) state equals the coefficient-weighted sum
-    of the row's chain states.  Solved on the row's coefficient matrix C, so
-    the solve sees cond(C), not the squared condition of the Gram matrix.
-    """
-    return _lowering(label, p)[0]
-
-
-def lowering_residual(label: ChainLabel, p: ModeParams) -> float:
-    """||A- |label> - sum_k c_k |label_k>|| / ||A- |label>|| for the terms
-    (label_k, c_k) of lowering_decomposition, from the same solve on the
-    unpruned level arrays; 0 when the lowered state vanishes."""
-    return _lowering(label, p)[1]
+    """The terms of lowering(label, p)."""
+    return lowering(label, p)[0]

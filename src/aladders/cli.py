@@ -48,16 +48,14 @@ exit codes:
 
 
 class _UsageError(Exception):
-    def __init__(self, message: str = "", reported: bool = False):
-        super().__init__(message)
-        self.reported = reported
+    """An --out path that cannot be written."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        # argparse's own report, with the usage exit code instead of 2
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise _UsageError(message, reported=True)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def parse_complex(text: str) -> complex:
@@ -100,9 +98,12 @@ def _out_stream(path: str | None, binary: bool = False):
                 os.remove(tmp)
 
 
-def _dump_json(obj, fh) -> None:
-    fh.write(json.dumps(obj, sort_keys=True, indent=2))
-    fh.write("\n")
+def _write_json(path: str | None, payload) -> int:
+    """Sorted, indented JSON and a newline to path or stdout; the exit code."""
+    with _out_stream(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2))
+        fh.write("\n")
+    return EXIT_OK
 
 
 def _pair(z: complex) -> list[float]:
@@ -159,19 +160,21 @@ def build_parser() -> _Parser:
 
     s = subs.add_parser("resolution", help="level-subspace identity via radial quadrature")
     s.add_argument("--nu", type=int, required=True)
-    s.add_argument("--nodes", type=int, default=64, help="radial nodes per integral")
+    s.add_argument("--nodes", type=int, default=resolution.QuadratureSpec().radial_nodes_alpha,
+                   help="radial nodes per integral")
     _add_common(s)
 
     s = subs.add_parser("density", help="position-space density grid of a chain state")
     s.add_argument("--chain", type=int, default=0)
     s.add_argument("--level", type=int, required=True)
     _add_params(s)
-    s.add_argument("--xmin", type=float, default=-8.0)
-    s.add_argument("--xmax", type=float, default=8.0)
-    s.add_argument("--ymin", type=float, default=-16.0)
-    s.add_argument("--ymax", type=float, default=16.0)
-    s.add_argument("--nx", type=int, default=600)
-    s.add_argument("--ny", type=int, default=600)
+    window = position.DEFAULT_DENSITY_GEOMETRY
+    s.add_argument("--xmin", type=float, default=window.x_min)
+    s.add_argument("--xmax", type=float, default=window.x_max)
+    s.add_argument("--ymin", type=float, default=window.y_min)
+    s.add_argument("--ymax", type=float, default=window.y_max)
+    s.add_argument("--nx", type=int, default=window.nx)
+    s.add_argument("--ny", type=int, default=window.ny)
     s.add_argument("--format", choices=("csv", "bin"), default="csv")
     _add_common(s)
 
@@ -188,9 +191,7 @@ def _cmd_zero_modes(args) -> int:
         "gamma": [_pair(g) if cmath.isfinite(g) else None for g in coeffs.gamma],
         "norm_sq": coeffs.norm_sq if math.isfinite(coeffs.norm_sq) else None,
     }
-    with _out_stream(args.out) as fh:
-        _dump_json(payload, fh)
-    return EXIT_OK
+    return _write_json(args.out, payload)
 
 
 def _cmd_chain(args) -> int:
@@ -206,9 +207,7 @@ def _cmd_chain(args) -> int:
         "log_norm_sq": st.log_norm_sq,
         "vector": st.vector.to_records(),
     }
-    with _out_stream(args.out) as fh:
-        _dump_json(payload, fh)
-    return EXIT_OK
+    return _write_json(args.out, payload)
 
 
 def _cmd_gram(args) -> int:
@@ -222,15 +221,13 @@ def _cmd_gram(args) -> int:
         "condition": cond if math.isfinite(cond) else None,
         "matrix": [[_pair(complex(z)) for z in line] for line in mat],
     }
-    with _out_stream(args.out) as fh:
-        _dump_json(payload, fh)
-    return EXIT_OK
+    return _write_json(args.out, payload)
 
 
 def _cmd_lower(args) -> int:
     label = chains.ChainLabel(args.chain, args.level)
     p = ModeParams(args.alpha, args.beta)
-    terms, residual = chains._lowering(label, p)
+    terms, residual = chains.lowering(label, p)
     payload = {
         "chain": label.chain,
         "level": label.level,
@@ -240,9 +237,7 @@ def _cmd_lower(args) -> int:
             for lab, c in terms
         ],
     }
-    with _out_stream(args.out) as fh:
-        _dump_json(payload, fh)
-    return EXIT_OK
+    return _write_json(args.out, payload)
 
 
 def _cmd_uncertainty(args) -> int:
@@ -267,9 +262,7 @@ def _cmd_resolution(args) -> int:
         "diagonal": diag,
         "max_deviation": max(abs(d - 1.0) for d in diag),
     }
-    with _out_stream(args.out) as fh:
-        _dump_json(payload, fh)
-    return EXIT_OK
+    return _write_json(args.out, payload)
 
 
 def _cmd_density(args) -> int:
@@ -348,10 +341,9 @@ def run(argv: list[str]) -> int:
             return EXIT_USAGE
         return _HANDLERS[args.command](args)
     except _UsageError as exc:
-        if not exc.reported:
-            print(f"usage error: {exc}", file=sys.stderr)
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SystemExit as exc:  # argparse --help
+    except SystemExit as exc:  # argparse: --help, or a usage error it reported
         return int(exc.code or 0)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -208,9 +208,9 @@ LOWERING_TOL = 1e-8
 
 
 def _lowering(params: Sequence[ModeParams], row_max: int) -> Verdict:
-    """Worst relative residual of lowering_decomposition over every chain
-    state of level >= 1 in rows 1..row_max."""
-    worst = max(chains.lowering_residual(label, p)
+    """Worst relative residual of chains.lowering over every chain state of
+    level >= 1 in rows 1..row_max."""
+    worst = max(chains.lowering(label, p)[1]
                 for p in params for row in range(1, row_max + 1)
                 for label in chains.row_labels(row) if label.level >= 1)
     return (worst <= LOWERING_TOL,

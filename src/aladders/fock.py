@@ -15,6 +15,7 @@ lexicographic in (n, m), which keeps serialized output stable.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -79,10 +80,14 @@ class FockVector:
     @classmethod
     def from_level(cls, level: int, amps: Sequence[complex]) -> "FockVector":
         """The vector whose amplitudes over level_basis(level) are amps,
-        less those with |a| < DEFAULT_DROP_TOL."""
+        less those with |a| < DEFAULT_DROP_TOL; a NaN or infinite amplitude
+        is refused, not pruned or kept."""
         basis = level_basis(level)
         if len(amps) != len(basis):
             raise DomainError(f"level {level} needs {len(basis)} amplitudes, got {len(amps)}")
+        bad = [a for a in amps if not cmath.isfinite(a)]
+        if bad:
+            raise DomainError(f"level {level} amplitudes must be finite, got {bad[0]}")
         return cls((k, a) for k, a in zip(basis, amps) if abs(a) >= DEFAULT_DROP_TOL)
 
     def items(self) -> Iterator[tuple[FockIndex, complex]]:

@@ -34,6 +34,11 @@ RECURRENCE_MAX = 500
 
 GRID_MAGIC = b"ALGRID01"
 
+# read_grid_binary reads its payload in pieces of at most this many bytes,
+# so any grid the CLI writes (cli.DENSITY_CELLS_BOUND, 4 000 000 cells) comes
+# in one read
+_READ_CHUNK = 1 << 25
+
 # Points on one sampled Lissajous curve, and the phases that best_tube_phase
 # scans coarsely over the whole period and then finely around the best one.
 CURVE_SAMPLES = 2048
@@ -96,8 +101,8 @@ def eigenfunction_table(n_max: int, omega: float, xs: np.ndarray) -> np.ndarray:
     omega for all n <= n_max, shape (n_max + 1, len(xs))."""
     if n_max < 0 or n_max > RECURRENCE_MAX:
         raise DomainError(f"need 0 <= n_max <= {RECURRENCE_MAX}, got {n_max}")
-    if omega <= 0:
-        raise DomainError(f"frequency must be > 0, got {omega}")
+    if not 0 < omega < math.inf:  # NaN included
+        raise DomainError(f"frequency must be finite and > 0, got {omega}")
     xs = np.asarray(xs, dtype=float)
     table = np.zeros((n_max + 1, xs.size))
     # beyond |x| ~ 1e154 the square overflows to inf, whose exp is the exact
@@ -171,12 +176,18 @@ def read_grid_binary(fh: BinaryIO) -> Grid2D:
     magic, nx, ny, x_min, x_max, y_min, y_max = struct.unpack("<8sII4f", header)
     if magic != GRID_MAGIC:
         raise DomainError(f"bad grid magic {magic!r}")
-    data = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8")
-    if data.size != nx * ny:
-        raise DomainError("truncated grid payload")
+    # the header's nx * ny is not trusted: no read asks for more than
+    # _READ_CHUNK bytes, so a corrupt header costs only the bytes that are there
+    need, payload = 8 * nx * ny, bytearray()
+    while len(payload) < need:
+        chunk = fh.read(min(need - len(payload), _READ_CHUNK))
+        if not chunk:
+            raise DomainError(f"truncated grid payload: {need - len(payload)} bytes missing")
+        payload += chunk
+    # a bytearray is writable, so the values need no copy of their own
     return Grid2D(
         float(x_min), float(x_max), float(y_min), float(y_max),
-        nx, ny, data.reshape(nx, ny).copy(),
+        nx, ny, np.frombuffer(payload, dtype="<f8").reshape(nx, ny),
     )
 
 
@@ -288,8 +299,8 @@ def _tube_fractions(
     if not (math.isfinite(amp_x) and math.isfinite(amp_y)):
         raise DomainError(f"curve amplitudes must be finite, got {amp_x}, {amp_y}")
     total = grid.integral()
-    if total == 0.0:
-        raise DomainError("grid carries no mass")
+    if not 0.0 < total < math.inf:  # a NaN or infinite cell makes it non-finite
+        raise DomainError(f"grid carries no mass that is finite and > 0, got {total}")
     xs, ys = grid.xs(), grid.ys()
 
     def fraction(phase: float) -> float:
@@ -350,7 +361,7 @@ def l1_distance(g1: Grid2D, g2: Grid2D) -> float:
     if g1.geometry() != g2.geometry():
         raise DomainError("grids must share geometry")
     m1, m2 = g1.integral(), g2.integral()
-    if m1 <= 0 or m2 <= 0:
-        raise DomainError("grids must carry positive mass")
+    if not (0.0 < m1 < math.inf and 0.0 < m2 < math.inf):  # NaN included
+        raise DomainError(f"grids must carry a mass that is finite and > 0, got {m1}, {m2}")
     diff = np.abs(g1.values / m1 - g2.values / m2)
     return 0.5 * replace(g1, values=diff).integral()

@@ -38,6 +38,11 @@ CONVERGENCE_TOL = 1e-6
 
 MIN_NODES = 8
 
+# The node-doubling check builds the rule of twice the nodes, and
+# roots_laguerre gives NaN weights from 364 nodes: larger counts are refused
+# before any rule is built.
+MAX_NODES = 181
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -53,8 +58,8 @@ class QuadratureSpec:
 
 # One `sweeps` benchmark round draws node counts from 64..128, and the
 # node-doubling check also asks for their doubles: 129 rules.  256 holds them
-# all, so none is recomputed (about 1 ms each); 256 rules of up to 363 nodes,
-# the most for which roots_laguerre gives finite weights, take at most 1.5 MB.
+# all, so none is recomputed (about 1 ms each); 256 rules of up to
+# 2 * MAX_NODES nodes take at most 1.5 MB.
 _RULE_CACHE_SIZE = 256
 
 
@@ -66,8 +71,8 @@ def _log_laguerre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     # not load scipy: only quadrature pays for it
     from scipy.special import roots_laguerre
 
-    # from 364 nodes scipy's rule overflows to NaN weights; the node-doubling
-    # gate refuses those, so its RuntimeWarnings would only be noise
+    # from about 200 nodes the smallest weights underflow, inside the rule
+    # and to log 0 = -inf here; both are expected, so neither warns
     with np.errstate(all="ignore"):
         x, w = roots_laguerre(nodes)
         return np.log(x), np.log(w)
@@ -84,10 +89,11 @@ def measure_weight(nu: int, a_mag: float, b_mag: float) -> float:
     """mu_nu at one radial point; positive for a_mag > 0."""
     if nu < 0:
         raise DomainError(f"level must be >= 0, got {nu}")
-    if a_mag <= 0.0:
-        raise DomainError("measure weight needs |alpha| > 0")
-    if b_mag < 0.0:
-        raise DomainError("measure weight needs |beta| >= 0")
+    # the comparisons refuse NaN as well
+    if not 0.0 < a_mag < math.inf:
+        raise DomainError(f"measure weight needs a finite |alpha| > 0, got {a_mag}")
+    if not 0.0 <= b_mag < math.inf:
+        raise DomainError(f"measure weight needs a finite |beta| >= 0, got {b_mag}")
     log_val = (
         -math.log(8.0 * math.pi**2)
         - math.lgamma(nu + 1)
@@ -124,10 +130,18 @@ def subspace_identity(nu: int, quad: QuadratureSpec = QuadratureSpec()) -> np.nd
 
     The diagonal is quadrature-evaluated twice (node count doubled), and
     every entry must agree to CONVERGENCE_TOL relative to the finer value;
-    where both rules underflow the 0/0 drift is NaN and fails too.
+    where both rules underflow the 0/0 drift is NaN and fails too.  Node
+    counts above MAX_NODES fail before any rule is built.
     """
     if nu < 0:
         raise DomainError(f"level must be >= 0, got {nu}")
+    nodes = max(quad.radial_nodes_alpha, quad.radial_nodes_beta)
+    if nodes > MAX_NODES:
+        raise ConvergenceError(
+            f"{nodes} radial nodes are beyond the {MAX_NODES}-node ceiling: the "
+            f"node-doubling check needs the rule of twice the nodes, and its weights "
+            f"are NaN from {2 * MAX_NODES + 2} nodes"
+        )
     coarse = _identity_diag(nu, quad.radial_nodes_alpha, quad.radial_nodes_beta)
     fine = _identity_diag(nu, 2 * quad.radial_nodes_alpha, 2 * quad.radial_nodes_beta)
     with np.errstate(divide="ignore", invalid="ignore"):

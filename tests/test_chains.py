@@ -15,8 +15,8 @@ from aladders.chains import (
     chain_state_closed,
     gram_matrix,
     ladder_factor,
+    lowering,
     lowering_decomposition,
-    lowering_residual,
     row_labels,
 )
 from aladders.criteria import CHAIN_TOL, LOWERING_TOL
@@ -268,7 +268,7 @@ def test_decomposition_reconstructs_row(rng):
 def test_lowering_residual_counts_amplitudes_below_drop_tolerance():
     p = ModeParams(alpha=2.5, beta=1.0)
     for label in (ChainLabel(8, 3), ChainLabel(10, 1)):
-        res = lowering_residual(label, p)
+        res = lowering(label, p)[1]
         assert 0.0 < res <= LOWERING_TOL
 
 
@@ -292,7 +292,7 @@ def test_refusal_boundary():
     for alpha, solved, refused in ((0.5, 9, 10), (0.8, 11, 12)):
         p = ModeParams(alpha=alpha, beta=1.0)
         label = ChainLabel(0, solved)
-        assert lowering_residual(label, p) <= LOWERING_TOL
+        assert lowering(label, p)[1] <= LOWERING_TOL
         with pytest.raises(IllConditionedError) as exc_info:
             lowering_decomposition(ChainLabel(0, refused), p)
         assert exc_info.value.condition > COND_LIMIT

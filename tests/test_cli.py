@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -421,21 +422,32 @@ def test_convergence_error_exit(capsys):
     code = run(["resolution", "--nu", "40", "--nodes", "8"])
     assert code == EXIT_CONVERGENCE
     assert "convergence" in capsys.readouterr().err
-    # from 364 nodes roots_laguerre returns NaN, so the doubled rule of 182
-    # nodes gives a NaN drift, which must fail as well
+    # from 364 nodes roots_laguerre returns NaN weights, so the node-doubling
+    # check cannot pass at 182 nodes or more
     assert run(["resolution", "--nu", "150", "--nodes", "182"]) == EXIT_CONVERGENCE
     assert "convergence" in capsys.readouterr().err
 
 
 def test_convergence_error_without_scipy_warnings(capsys):
-    # scipy's 364-node rule overflows inside roots_laguerre; the gate refuses
-    # it, and stderr carries only the refusal
+    # scipy's 364-node rule overflows inside roots_laguerre; the count is
+    # refused, and stderr carries only the refusal
     resolution._log_laguerre.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["resolution", "--nu", "150", "--nodes", "182"]) == EXIT_CONVERGENCE
     err = capsys.readouterr().err
     assert err.startswith("convergence error:") and err.count("\n") == 1
+
+
+def test_node_ceiling_refused_at_once(capsys):
+    # the rules of 200000 and 400000 nodes took minutes to build before the
+    # drift gate refused them; the ceiling refuses the count first
+    start = time.perf_counter()
+    assert run(["resolution", "--nu", "4", "--nodes", "200000"]) == EXIT_CONVERGENCE
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("convergence error: 200000 radial nodes are beyond the "
+                          "181-node ceiling")
 
 
 def test_resolution_underflowed_rules_refused(capsys):

@@ -124,6 +124,11 @@ def test_from_level_reads_the_level_basis():
     assert v[(2, 0)] == 2j
     with pytest.raises(DomainError):
         FockVector.from_level(4, [1.0, 2.0])
+    # NaN was pruned as if below the drop tolerance, and inf was kept
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 1.0)):
+        for amps in ([bad, 1.0], np.array([1.0, bad])):
+            with pytest.raises(DomainError, match="finite"):
+                FockVector.from_level(2, amps)
 
 
 # ------------------------------------------------------------ inner product

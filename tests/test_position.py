@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -70,8 +71,9 @@ def test_eigenfunction_recurrence_cap():
         eigenfunction_table(RECURRENCE_MAX + 1, 1.0, xs)
     with pytest.raises(DomainError):
         eigenfunction_table(-1, 1.0, xs)
-    with pytest.raises(DomainError):
-        eigenfunction_table(3, 0.0, xs)
+    for omega in (0.0, -1.0, math.nan, math.inf):  # NaN and inf made NaN tables
+        with pytest.raises(DomainError, match="frequency"):
+            eigenfunction_table(3, omega, xs)
     # amplitude_grid meets the cap where it builds each axis's table
     for n, m in ((0, RECURRENCE_MAX + 1), (RECURRENCE_MAX + 1, 0)):
         with pytest.raises(DomainError):
@@ -241,6 +243,17 @@ def test_binary_rejects_corruption(rng):
         read_grid_binary(io.BytesIO(b"NOTAGRID" + raw[8:]))
     with pytest.raises(DomainError):
         read_grid_binary(io.BytesIO(raw[:-16]))  # truncated payload
+    # a header promising far more than the 104-byte stream holds: 2^31 x 2^31
+    # cells overflowed an index, and 2^15 x 2^15 asked for an 8 GB read
+    for nx, ny in ((1 << 31, 1 << 31), (1 << 15, 1 << 15)):
+        corrupt = raw[:8] + struct.pack("<II", nx, ny) + raw[16:104]
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="truncated grid payload"):
+                read_grid_binary(io.BytesIO(corrupt))
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20  # peak bytes
+        finally:
+            tracemalloc.stop()
 
 
 def test_binary_refuses_bounds_beyond_float32():
@@ -422,6 +435,16 @@ def test_best_tube_phase_refuses_bad_input_before_any_query(monkeypatch):
     assert striped.integral() == 0.0
     with pytest.raises(DomainError, match="no mass"):
         best_tube_phase(striped, 1.0, 1.0)
+    # one NaN or infinite cell made the fit return its sentinel (-1.0, 0.0)
+    # and the fraction NaN
+    for bad in (math.nan, math.inf):
+        values = live.values.copy()
+        values[7, 9] = bad
+        spoiled = Grid2D(-4, 4, -4, 4, 40, 40, values=values)
+        with pytest.raises(DomainError, match="no mass"):
+            best_tube_phase(spoiled, 1.0, 1.0)
+        with pytest.raises(DomainError, match="no mass"):
+            tube_mass_fraction(spoiled, 1.0, 1.0, 0.0)
 
 
 def test_high_level_mass_concentrates_on_curve(level40):
@@ -441,3 +464,11 @@ def test_l1_distance_properties(rng):
     other_geom = density_grid(FockVector.basis(0, 0), Grid2D(-5, 5, -5, 5, 50, 60))
     with pytest.raises(DomainError):
         l1_distance(g1, other_geom)
+    # a NaN or infinite cell got past the m <= 0 guard and gave NaN
+    for bad in (math.nan, math.inf):
+        values = g2.values.copy()
+        values[3, 4] = bad
+        spoiled = Grid2D(-5, 5, -5, 5, 60, 60, values=values)
+        for pair in ((g1, spoiled), (spoiled, g1)):
+            with pytest.raises(DomainError, match="finite"):
+                l1_distance(*pair)

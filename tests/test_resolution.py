@@ -14,6 +14,7 @@ from aladders.errors import ConvergenceError, DomainError
 from aladders.operators import ModeParams
 from aladders.principal import modified_binomial, principal_norm_sq
 from aladders.resolution import (
+    MAX_NODES,
     QuadratureSpec,
     _log_moments,
     fullspace_identity_check,
@@ -71,6 +72,10 @@ def test_measure_weight_positive_and_guarded():
         measure_weight(2, 0.0, 1.0)
     with pytest.raises(DomainError):
         measure_weight(2, 1.0, -0.5)
+    # NaN passed the <= guards, and an infinite magnitude gave 0
+    for a_mag, b_mag in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            measure_weight(2, a_mag, b_mag)
 
 
 def test_state_identity_deviation_within_bound():
@@ -133,10 +138,26 @@ def test_subspace_identity_node_starvation_detected():
     # flag non-convergence instead of returning a wrong diagonal
     with pytest.raises(ConvergenceError):
         subspace_identity(40, QuadratureSpec(8, 8))
-    # from 364 nodes roots_laguerre returns NaN: the NaN drift of the
-    # doubled 182-node rule must not pass
+    # from 364 nodes roots_laguerre returns NaN: the doubled rule of 182
+    # nodes cannot pass the check
     with pytest.raises(ConvergenceError):
         subspace_identity(150, QuadratureSpec(182, 182))
+
+
+def test_node_ceiling_refused_before_any_rule(monkeypatch):
+    # 181 nodes is the most whose doubled rule has finite weights
+    assert subspace_identity(40, QuadratureSpec(MAX_NODES, MAX_NODES)) == pytest.approx(1.0)
+
+    def no_rule(_nodes):
+        raise AssertionError("a rule was built")
+
+    monkeypatch.setattr(resolution, "_log_laguerre", no_rule)
+    for quad in (QuadratureSpec(182, 64), QuadratureSpec(64, 182),
+                 QuadratureSpec(200_000, 200_000)):
+        with pytest.raises(ConvergenceError, match="the 181-node ceiling"):
+            subspace_identity(3, quad)
+        with pytest.raises(ConvergenceError, match="the 181-node ceiling"):
+            fullspace_identity_check(3, quad)
 
 
 def test_subspace_identity_where_node_powers_overflow():
