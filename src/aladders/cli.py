@@ -34,14 +34,15 @@ EXIT_SELFTEST = 5
 NU_MAX_BOUND = 10_000
 DENSITY_CELLS_BOUND = 4_000_000
 
-_EPILOG = """\
+_EPILOG = f"""\
 complex values are written as 're,im' or 'mag@phase_rad' (a bare real works too).
 
 exit codes:
   0  success
   1  usage error (unknown flag, missing argument, bad literal)
   2  domain error (inputs outside an operation's mathematical domain)
-  3  convergence error (quadrature drifted on node doubling)
+  3  convergence error (quadrature drifted on node doubling, or more radial
+     nodes than the {resolution.MAX_NODES}-node ceiling)
   4  ill-conditioned Gram system
   5  selftest failure
 """

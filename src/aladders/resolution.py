@@ -18,7 +18,7 @@ sum_i w_i x_i^p is taken in log space, as a log-sum-exp of log w + p log x,
 so no power of a node overflows at deep levels or large node counts.
 
 criteria.state_identity_deviation is the independent side: it integrates
-mu_nu times the principal states' projectors themselves, by numpy's rule.
+mu_nu times the principal states' projectors themselves, by numpy's laggauss.
 """
 
 from __future__ import annotations
@@ -38,10 +38,11 @@ CONVERGENCE_TOL = 1e-6
 
 MIN_NODES = 8
 
-# The node-doubling check builds the rule of twice the nodes, and
-# roots_laguerre gives NaN weights from 364 nodes: larger counts are refused
-# before any rule is built.
-MAX_NODES = 181
+# The node-doubling check builds the rule of twice the nodes, from a dense
+# Jacobi matrix (n^2 memory, n^3 time in eigvalsh) and an O(n^2) recurrence:
+# the 1024-node rule needs an 8 MB matrix and about 0.15 s (one core of an
+# Intel Xeon).  Larger counts are refused before any rule is built.
+MAX_NODES = 512
 
 
 @dataclass(frozen=True)
@@ -58,24 +59,57 @@ class QuadratureSpec:
 
 # One `sweeps` benchmark round draws node counts from 64..128, and the
 # node-doubling check also asks for their doubles: 129 rules.  256 holds them
-# all, so none is recomputed (about 1 ms each); 256 rules of up to
-# 2 * MAX_NODES nodes take at most 1.5 MB.
+# all, so none is recomputed (1-8 ms each, 0.3 s for all 129); 256 rules of
+# up to 2 * MAX_NODES nodes take about 4 MB.
 _RULE_CACHE_SIZE = 256
+
+# _laguerre_pair divides out its running values every this many steps: one
+# step grows them by at most a factor x + 2, every node of the n-point rule
+# is below 4n (Gershgorin), so 4100 within the ceiling, and 4100^16 is far
+# inside a double.
+_RESCALE_STEPS = 16
+
+
+def _laguerre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L_n(x), L_n(x) - L_{n-1}(x), log s), both values divided by s > 0.
+
+    The difference form of the three-term recurrence, as scipy's
+    eval_genlaguerre takes it: d_k = L_{k+1} - L_k obeys
+    d_k = (k d_{k-1} - x L_k) / (k + 1).  The textbook form
+    ((2k + 1 - x) L_k - k L_{k-1}) / (k + 1) cancels at the small nodes.
+    """
+    p = np.ones_like(x)
+    d = np.zeros_like(x)
+    log_scale = np.zeros_like(x)
+    for k in range(n):
+        d = (k * d - x * p) / (k + 1)
+        p = p + d
+        if k % _RESCALE_STEPS == _RESCALE_STEPS - 1:
+            s = np.maximum(np.abs(p), np.abs(d))
+            p /= s
+            d /= s
+            log_scale += np.log(s)
+    return p, d, log_scale
 
 
 @lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _log_laguerre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log x, log w) of the nodes-point Gauss-Laguerre rule; a weight that
-    underflowed to 0 is -inf."""
-    # imported here, not at module level, so that importing the package does
-    # not load scipy: only quadrature pays for it
-    from scipy.special import roots_laguerre
+    """(log x, log w) of the nodes-point Gauss-Laguerre rule, by Golub and
+    Welsch (1969).
 
-    # from about 200 nodes the smallest weights underflow, inside the rule
-    # and to log 0 = -inf here; both are expected, so neither warns
-    with np.errstate(all="ignore"):
-        x, w = roots_laguerre(nodes)
-        return np.log(x), np.log(w)
+    The nodes are the eigenvalues of the Jacobi matrix of the Laguerre
+    recurrence (diagonal 2k + 1, off-diagonal k), polished by one Newton
+    step on L_n.  The weights are w_i = x_i / (n L_{n-1}(x_i))^2, taken as
+    logs so that none underflows, and normalised to sum to 0! = 1.
+    """
+    k = np.arange(nodes, dtype=float)
+    x = np.linalg.eigvalsh(np.diag(2.0 * k + 1.0) + np.diag(k[1:], -1))
+    l_n, step, _ = _laguerre_pair(nodes, x)
+    x -= x * l_n / (nodes * step)  # x L_n'(x) = n (L_n(x) - L_{n-1}(x))
+    l_n, step, log_scale = _laguerre_pair(nodes, x)
+    log_x = np.log(x)
+    log_w = log_x - 2.0 * (math.log(nodes) + np.log(np.abs(l_n - step)) + log_scale)
+    return log_x, log_w - _logsumexp(log_w)
 
 
 def _log_moments(nodes: int, powers):
@@ -139,8 +173,9 @@ def subspace_identity(nu: int, quad: QuadratureSpec = QuadratureSpec()) -> np.nd
     if nodes > MAX_NODES:
         raise ConvergenceError(
             f"{nodes} radial nodes are beyond the {MAX_NODES}-node ceiling: the "
-            f"node-doubling check needs the rule of twice the nodes, and its weights "
-            f"are NaN from {2 * MAX_NODES + 2} nodes"
+            f"node-doubling check builds the rule of twice the nodes, whose dense "
+            f"Jacobi matrix grows as the square of the count and its eigenvalue "
+            f"solve as the cube"
         )
     coarse = _identity_diag(nu, quad.radial_nodes_alpha, quad.radial_nodes_beta)
     fine = _identity_diag(nu, 2 * quad.radial_nodes_alpha, 2 * quad.radial_nodes_beta)

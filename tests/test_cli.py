@@ -31,9 +31,10 @@ from aladders.cli import (
     parse_complex,
     run,
 )
-from aladders.criteria import CRITERIA
+from aladders.criteria import CRITERIA, IDENTITY_TOL
 from aladders.operators import ModeParams
 from aladders.position import read_grid_binary
+from aladders.resolution import MAX_NODES
 from conftest import required_flags
 
 
@@ -100,6 +101,8 @@ def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     out = capsys.readouterr().out
     assert "exit codes" in out
+    # exit 3 names the node ceiling as well as the drift
+    assert f"the {MAX_NODES}-node ceiling" in out
 
 
 # ------------------------------------------------------------ subcommands
@@ -422,19 +425,22 @@ def test_convergence_error_exit(capsys):
     code = run(["resolution", "--nu", "40", "--nodes", "8"])
     assert code == EXIT_CONVERGENCE
     assert "convergence" in capsys.readouterr().err
-    # from 364 nodes roots_laguerre returns NaN weights, so the node-doubling
-    # check cannot pass at 182 nodes or more
-    assert run(["resolution", "--nu", "150", "--nodes", "182"]) == EXIT_CONVERGENCE
+    # the doubled rule of 364 nodes, where scipy's weights are NaN, is served;
+    # only a count above the ceiling is refused
+    diag = run_json(capsys, ["resolution", "--nu", "150", "--nodes", "182"])["diagonal"]
+    assert np.max(np.abs(np.array(diag) - 1.0)) <= IDENTITY_TOL
+    assert run(["resolution", "--nu", "150", "--nodes", str(MAX_NODES + 1)]) == EXIT_CONVERGENCE
     assert "convergence" in capsys.readouterr().err
 
 
 def test_convergence_error_without_scipy_warnings(capsys):
-    # scipy's 364-node rule overflows inside roots_laguerre; the count is
-    # refused, and stderr carries only the refusal
+    # a count above the ceiling is refused, and stderr carries only the
+    # refusal
     resolution._log_laguerre.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run(["resolution", "--nu", "150", "--nodes", "182"]) == EXIT_CONVERGENCE
+        assert (run(["resolution", "--nu", "150", "--nodes", str(MAX_NODES + 1)])
+                == EXIT_CONVERGENCE)
     err = capsys.readouterr().err
     assert err.startswith("convergence error:") and err.count("\n") == 1
 
@@ -447,7 +453,7 @@ def test_node_ceiling_refused_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("convergence error: 200000 radial nodes are beyond the "
-                          "181-node ceiling")
+                          f"{MAX_NODES}-node ceiling")
 
 
 def test_resolution_underflowed_rules_refused(capsys):
@@ -566,22 +572,22 @@ def test_ill_conditioned_exit(capsys):
 
 
 def test_import_skips_scipy_linalg():
-    # no scipy module at all on the import path, nor after a tube fit;
-    # resolution imports its quadrature nodes on first use
-    code = ("import sys, aladders.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+    # no scipy module at all on the import path, nor after a tube fit, nor
+    # after a quadrature
+    scipy_modules = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+    code = ("import sys, aladders.cli; " + scipy_modules +
             "from aladders import FockVector, Grid2D, best_tube_phase, density_grid; "
             "g = density_grid(FockVector.basis(0, 0), Grid2D(-4, 4, -4, 4, 40, 40)); "
-            "best_tube_phase(g, 1.0, 1.0); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-            "print(aladders.cli.run(['resolution', '--nu', '4']))")
+            "best_tube_phase(g, 1.0, 1.0); " + scipy_modules +
+            "print(aladders.cli.run(['resolution', '--nu', '4', '--nodes', '181'])); "
+            + scipy_modules)
     src = str(Path(aladders.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
     lines = out.splitlines()
     assert lines[:2] == ["[]", "[]"]
-    assert json.loads("\n".join(lines[2:-1]))["nu"] == 4
-    assert lines[-1] == str(EXIT_OK)
+    assert json.loads("\n".join(lines[2:-2]))["nu"] == 4
+    assert lines[-2:] == [str(EXIT_OK), "[]"]
 
 
 def test_readme_cli_examples_parse():
@@ -611,16 +617,17 @@ SELFTEST_NAMES = [
 
 
 def test_selftest_passes():
-    # in a fresh process, which must not load scipy.spatial: criterion 9's
-    # tube fit is left to the gate
+    # in a fresh process, which must load no scipy module: the quadrature is
+    # numpy's, and criterion 9's tube fit is left to the gate
     code = ("import sys, aladders.cli; print(aladders.cli.run(['selftest'])); "
-            "print([m for m in sys.modules if m.startswith('scipy.spatial')])")
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     src = str(Path(aladders.__file__).parents[1])
-    *checks, last, exit_code, spatial = subprocess.run(
+    *checks, last, exit_code, scipy_modules = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=src)).stdout.splitlines()
     assert [line.split(": ", 1)[0] for line in checks] == [f"ok   {n}" for n in SELFTEST_NAMES]
-    assert [last, exit_code, spatial] == ["selftest: 15 passed, 0 failed", str(EXIT_OK), "[]"]
+    assert [last, exit_code, scipy_modules] == ["selftest: 15 passed, 0 failed", str(EXIT_OK),
+                                                "[]"]
 
 
 def test_readme_tolerances_match_the_table():
