@@ -223,43 +223,35 @@ def _runs(
 
     The distance only grows away from the centre, rounding included, so
     the nodes within reach are contiguous.  An entry whose first and last
-    nodes are both within reach has the whole axis as its run; only a tube
-    about as wide as the axis is long can have one, and only then are they
-    looked for.  For the rest, `first` counts the nodes below the centre
-    and out of reach, `stop` those below it or within reach; each count
-    comes from a bisection of len(axis).bit_length() steps with that exact
-    predicate.
+    nodes are both within reach has the whole axis as its run.  For the
+    rest, `first` counts the nodes below the centre and out of reach,
+    `stop` those below it or within reach; each count comes from a
+    bisection of len(axis).bit_length() steps with that exact predicate.
     """
     n = axis.size
+    dx2 = np.broadcast_to(np.multiply(offset, offset), centre.shape)
 
-    def near(dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        return np.sqrt(dx * dx + dy * dy) <= radius
+    def near(dy: np.ndarray, dx2: np.ndarray) -> np.ndarray:
+        return np.sqrt(dx2 + dy * dy) <= radius
 
-    def bisect(centre: np.ndarray, offset: np.ndarray | float):
-        first = np.zeros(centre.size, dtype=np.intp)
-        stop = np.zeros(centre.size, dtype=np.intp)
-        step = 1 << (n.bit_length() - 1)
-        while step:
-            for count, out_of_reach in ((first, True), (stop, False)):
-                # does the count reach count + step?  the node count + step - 1
-                # decides, since both predicates hold on a prefix of the axis
-                ahead = count + step
-                dy = axis[np.minimum(ahead, n) - 1] - centre
-                below = dy < 0.0
-                holds = below & ~near(dy, offset) if out_of_reach else below | near(dy, offset)
-                count += step * ((ahead <= n) & holds)
-            step >>= 1
-        return first, stop
-
-    # this test only decides whether to look: rounding at its edge costs
-    # time, never a different run
-    if axis[-1] - axis[0] > 2.0 * radius:
-        return bisect(centre, offset)
-    offset = np.broadcast_to(offset, centre.shape)
-    part = np.flatnonzero(~(near(axis[0] - centre, offset) & near(axis[-1] - centre, offset)))
     first = np.zeros(centre.size, dtype=np.intp)
     stop = np.full(centre.size, n, dtype=np.intp)
-    first[part], stop[part] = bisect(centre[part], offset[part])
+    part = np.flatnonzero(~(near(axis[0] - centre, dx2) & near(axis[-1] - centre, dx2)))
+    centre, dx2 = centre[part], dx2[part]
+    lo = np.zeros(part.size, dtype=np.intp)
+    hi = np.zeros(part.size, dtype=np.intp)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        for count, out_of_reach in ((lo, True), (hi, False)):
+            # does the count reach count + step?  the node count + step - 1
+            # decides, since both predicates hold on a prefix of the axis
+            ahead = count + step
+            dy = axis[np.minimum(ahead, n) - 1] - centre
+            below = dy < 0.0
+            holds = below & ~near(dy, dx2) if out_of_reach else below | near(dy, dx2)
+            count += step * ((ahead <= n) & holds)
+        step >>= 1
+    first[part], stop[part] = lo, hi
     return first, stop
 
 
